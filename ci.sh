@@ -88,40 +88,36 @@ cargo test -q --release -p rfkit-serve --features rfkit-faults || fail=1
 
 echo "== traced fault-injection smoke (RFKIT_TRACE=1, faults armed)"
 # Arms a fault plan end to end and checks the retry/fallback/degradation
-# counters actually reach the trace: the robustness telemetry is under
+# counters actually reach the profile: the robustness telemetry is under
 # test here, not the numerics.
-rm -f results/TRACE_faults.jsonl
-RFKIT_TRACE=1 RFKIT_TRACE_OUT=results/TRACE_faults.jsonl \
+rm -f results/PROFILE_faults.json
+RFKIT_TRACE=1 RFKIT_TRACE_OUT=results/PROFILE_faults.json \
   cargo run --release -q --features rfkit-faults --example robust_faults \
   >/dev/null || fail=1
 cargo run --release -q -p rfkit-obs --bin rfkit-trace -- --json \
   --expect dc.retry.attempts --expect dc.fallback.stage \
   --expect band.points.failed --expect faults.injected \
-  results/TRACE_faults.jsonl >/dev/null || fail=1
+  results/PROFILE_faults.json >/dev/null || fail=1
 
-echo "== traced end-to-end design run (RFKIT_TRACE=1)"
-# Arms the observability layer for the full design example, then checks
-# the emitted JSONL parses and contains the expected top-level spans —
-# the tracing pipeline itself is under test here, not the numerics.
-rm -f results/TRACE_ci.jsonl
-RFKIT_TRACE=1 RFKIT_TRACE_OUT=results/TRACE_ci.jsonl \
+echo "== traced design run + profile diff gate (RFKIT_TRACE=1, RFKIT_THREADS=1)"
+# One profiled run of the full design example feeds two checks. First,
+# the profile parses and contains the expected top-level spans: the
+# tracing pipeline itself is under test here, not the numerics. Second,
+# per-path self time is diffed against the committed baseline, which
+# was recorded at one thread, so this run pins RFKIT_THREADS=1 to
+# compare like with like (the profile's meta records threads_env and
+# cores). Tolerances are CI-grade: 4x relative with a 20ms self-time
+# floor, because shared runners jitter. The gate exists to catch
+# order-of-magnitude structural regressions (a cache that stopped
+# hitting, a fast path that fell off), not 10% drift. Refresh after an
+# intentional perf change with `./ci.sh --write-baseline` and commit
+# the result.
+rm -f results/PROFILE_ci.json
+RFKIT_THREADS=1 RFKIT_TRACE=1 RFKIT_TRACE_OUT=results/PROFILE_ci.json \
   cargo run --release -q --example design_gnss_lna >/dev/null || fail=1
 cargo run --release -q -p rfkit-obs --bin rfkit-trace -- --json \
   --expect design.total --expect design.optimize --expect opt.improved_goal \
-  results/TRACE_ci.jsonl >/dev/null || fail=1
-
-echo "== profile diff gate (RFKIT_TRACE_MODE=agg vs committed baseline)"
-# Re-runs the design example with in-process aggregation (one profile
-# document instead of per-event JSONL) and diffs per-path self time
-# against the committed baseline. Tolerances are CI-grade: 4x relative
-# with a 20ms self-time floor, because shared single-core runners
-# jitter — the gate exists to catch order-of-magnitude structural
-# regressions (a cache that stopped hitting, a fast path that fell off),
-# not 10% drift. Refresh after an intentional perf change with
-# `./ci.sh --write-baseline` and commit the result.
-rm -f results/PROFILE_ci.json
-RFKIT_TRACE=1 RFKIT_TRACE_MODE=agg RFKIT_TRACE_OUT=results/PROFILE_ci.json \
-  cargo run --release -q --example design_gnss_lna >/dev/null || fail=1
+  results/PROFILE_ci.json >/dev/null || fail=1
 if [ "$write_baseline" -eq 1 ]; then
   cp results/PROFILE_ci.json results/PROFILE_BASELINE.json || fail=1
   echo "   wrote results/PROFILE_BASELINE.json (commit it)"
@@ -141,9 +137,9 @@ echo "== bench_ac perf smoke (tiny grid, traced)"
 # the memo-cache counters fire; and results/BENCH_ac.json is written.
 # Timings on the tiny grid are irrelevant; the full sweep is `bench_ac`
 # with default arguments.
-rm -f results/TRACE_bench_ac.jsonl results/BENCH_ac_smoke.json \
+rm -f results/PROFILE_bench_ac_trace.json results/BENCH_ac_smoke.json \
   results/PROFILE_bench_ac_smoke.json
-RFKIT_TRACE=1 RFKIT_TRACE_OUT=results/TRACE_bench_ac.jsonl \
+RFKIT_TRACE=1 RFKIT_TRACE_OUT=results/PROFILE_bench_ac_trace.json \
   cargo run --release -q -p lna-bench --bin bench_ac -- \
   --points 16 --reps 2 --out results/BENCH_ac_smoke.json \
   --profile-out results/PROFILE_bench_ac_smoke.json \
@@ -158,7 +154,7 @@ cargo run --release -q -p rfkit-obs --bin rfkit-trace -- --json \
   --expect-min circuit.ac.sweep.points:64 \
   --expect-min plan.cache.hit:1 \
   --expect-max circuit.ac.sweep.refactors:8 \
-  results/TRACE_bench_ac.jsonl >/dev/null || fail=1
+  results/PROFILE_bench_ac_trace.json >/dev/null || fail=1
 
 echo "== surrogate screening smoke (traced example + bench_surrogate)"
 # Runs the surrogate-screened study example with tracing armed and
@@ -169,15 +165,15 @@ echo "== surrogate screening smoke (traced example + bench_surrogate)"
 # seed makes the decision sequence exact; the band.evaluations ceiling
 # carries slack only for parallel duplicate evaluations (concurrent
 # misses on identical offspring), which timing may or may not dedup.
-rm -f results/TRACE_surrogate.jsonl
-RFKIT_TRACE=1 RFKIT_TRACE_OUT=results/TRACE_surrogate.jsonl \
+rm -f results/PROFILE_surrogate.json
+RFKIT_TRACE=1 RFKIT_TRACE_OUT=results/PROFILE_surrogate.json \
   cargo run --release -q --example surrogate_screening >/dev/null || fail=1
 cargo run --release -q -p rfkit-obs --bin rfkit-trace -- --json \
   --expect surrogate.fit --expect surrogate.true_evals \
   --expect-min surrogate.reject:1 \
   --expect-min surrogate.accept:1 \
   --expect-max band.evaluations:800 \
-  results/TRACE_surrogate.jsonl >/dev/null || fail=1
+  results/PROFILE_surrogate.json >/dev/null || fail=1
 # bench_surrogate smoke on a small study, written to a scratch path so
 # the committed full-size artifact survives. Proves the two-arm
 # warm-continuation protocol runs end to end, the screen actually
@@ -197,12 +193,12 @@ echo "== serve smoke (traced bench_serve, mixed concurrent load)"
 # tracing armed. bench_serve itself hard-asserts zero protocol errors,
 # zero rejections at this queue size, and nonzero design- and plan-cache
 # hits before it writes the report; the trace assertions then prove the
-# request-lifecycle telemetry actually reached the sink — every request
+# request-lifecycle telemetry actually reached the profile — every request
 # accepted was counted, the queue-depth and latency histograms fired,
 # and nothing was rejected or malformed. 8 clients x 12 requests = 96
 # timed requests; the floor ignores the warmup pass on purpose.
-rm -f results/TRACE_serve.jsonl results/BENCH_serve_smoke.json
-RFKIT_TRACE=1 RFKIT_TRACE_OUT=results/TRACE_serve.jsonl \
+rm -f results/PROFILE_serve.json results/BENCH_serve_smoke.json
+RFKIT_TRACE=1 RFKIT_TRACE_OUT=results/PROFILE_serve.json \
   cargo run --release -q -p lna-bench --bin bench_serve -- \
   --clients 8 --requests 12 --out results/BENCH_serve_smoke.json \
   >/dev/null || fail=1
@@ -212,7 +208,7 @@ cargo run --release -q -p rfkit-obs --bin rfkit-trace -- --json \
   --expect-min serve.requests.accepted:96 \
   --expect-max serve.requests.rejected:0 \
   --expect-max serve.protocol.errors:0 \
-  results/TRACE_serve.jsonl >/dev/null || fail=1
+  results/PROFILE_serve.json >/dev/null || fail=1
 grep -q '"throughput_rps"' results/BENCH_serve_smoke.json || fail=1
 
 if [ "$fail" -ne 0 ]; then

@@ -3,10 +3,9 @@
 //! The observability layer's names are load-bearing in four places at
 //! once: the code that emits them (`rfkit_obs::Counter::new("…")`,
 //! `span("…")`, …), the CI assertions that gate on them
-//! (`rfkit-trace --expect NAME` in `ci.sh`), the recorded artifacts
-//! under `results/` (`TRACE_*.jsonl` event streams and `PROFILE_*.json`
-//! aggregate profiles), and the DESIGN.md telemetry name registry
-//! that documents them. Nothing ties these together — a renamed
+//! (`rfkit-trace --expect NAME` in `ci.sh`), the recorded
+//! `results/PROFILE_*.json` aggregate profiles, and the DESIGN.md
+//! telemetry name registry that documents them. Nothing ties these together — a renamed
 //! counter silently turns a `--expect` into a vacuous check and a
 //! dashboard into a flat line. This pass extracts the emitted-name set
 //! from the AST (string-literal first arguments of obs instrument
@@ -28,7 +27,7 @@ use std::path::Path;
 pub const NAME: &str = "counter-name-drift";
 /// One-line description.
 pub const DESCRIPTION: &str =
-    "obs name out of sync between code, ci.sh --expect, recorded traces, and DESIGN.md (error)";
+    "obs name out of sync between code, ci.sh --expect, recorded profiles, and DESIGN.md (error)";
 
 /// One extracted emission site.
 #[derive(Debug, Clone)]
@@ -224,43 +223,33 @@ pub fn check(root: &Path, files: &[SourceFile]) -> Vec<Finding> {
         }
     }
 
-    // 2. Every recorded trace/profile name must still be emitted by the
-    //    code. Traces are per-event JSONL; profiles are the aggregate
-    //    documents written by RFKIT_TRACE_MODE=agg — both carry names.
-    let results = root.join("results");
-    if let Ok(entries) = fs::read_dir(&results) {
+    // 2. Every name in a recorded profile must still be emitted by the
+    //    code.
+    if let Ok(entries) = fs::read_dir(root.join("results")) {
         let mut recorded: Vec<_> = entries
             .filter_map(|e| e.ok().map(|e| e.path()))
             .filter(|p| {
-                p.file_name().and_then(|n| n.to_str()).is_some_and(|n| {
-                    (n.starts_with("TRACE_") && n.ends_with(".jsonl"))
-                        || (n.starts_with("PROFILE_") && n.ends_with(".json"))
-                })
+                p.file_name()
+                    .and_then(|n| n.to_str())
+                    .is_some_and(|n| n.starts_with("PROFILE_") && n.ends_with(".json"))
             })
             .collect();
         recorded.sort();
         for artifact in recorded {
-            let is_profile = artifact
-                .extension()
-                .is_some_and(|e| e.to_str() == Some("json"));
-            let names = if is_profile {
-                rfkit_obs::registry::profile_names(&artifact)
-            } else {
-                rfkit_obs::registry::trace_names(&artifact)
+            let Ok(names) = rfkit_obs::registry::profile_names(&artifact) else {
+                continue;
             };
-            let Ok(names) = names else { continue };
             let rel = format!(
                 "results/{}",
                 artifact.file_name().unwrap_or_default().to_string_lossy()
             );
-            let what = if is_profile { "profile" } else { "trace" };
             for name in names {
                 if !emitted.contains(name.as_str()) {
                     out.push(finding(
                         &rel,
                         1,
                         format!(
-                            "recorded {what} names `{name}` but no code emits it; the {what} \
+                            "recorded profile names `{name}` but no code emits it; the profile \
                              is stale or the instrument was renamed — regenerate via ci.sh"
                         ),
                     ));
@@ -375,7 +364,7 @@ cargo run -p rfkit-obs --bin rfkit-trace -- --json \\
   --expect dc.retry.attempts --expect dc.fallback.stage \\
   --expect-max circuit.ac.sweep.refactors:8 \\
   --expect-min plan.cache.hit:40 \\
-  results/TRACE_faults.jsonl
+  results/PROFILE_faults.json
 ";
         let exp = ci_expectations(ci);
         let names: Vec<&str> = exp.iter().map(|(n, _)| n.as_str()).collect();
@@ -389,6 +378,34 @@ cargo run -p rfkit-obs --bin rfkit-trace -- --json \\
             ]
         );
         assert_eq!(exp[0].1, 3);
+    }
+
+    #[test]
+    fn stale_profile_name_is_flagged() {
+        let root = std::env::temp_dir().join(format!("rfkit_contract_{}", std::process::id()));
+        let results = root.join("results");
+        fs::create_dir_all(&results).expect("mkdir results");
+        fs::write(root.join("ci.sh"), "#!/bin/sh\n").expect("write ci.sh");
+        let profile = "{\"kind\":\"rfkit-profile\",\"version\":1,\"meta\":{},\
+                       \"nodes\":[{\"path\":\"design.total\",\"name\":\"design.total\",\
+                       \"count\":1,\"total_us\":5,\"self_us\":5,\"max_us\":5}],\
+                       \"counters\":{\"ghost.counter\":3},\"hists\":[],\"events\":[]}";
+        fs::write(results.join("PROFILE_ci.json"), profile).expect("write profile");
+        // Only PROFILE_*.json artifacts are scanned: a stray JSONL
+        // stream naming an unknown instrument is not evidence of anything.
+        fs::write(
+            results.join("TRACE_old.jsonl"),
+            "{\"kind\":\"span\",\"name\":\"stale.jsonl.name\"}\n",
+        )
+        .expect("write stream");
+        let src = "pub fn run() { let _s = rfkit_obs::span(\"design.total\"); }\n";
+        let files = [SourceFile::parse("crates/core/src/lib.rs", src)];
+        let found = check(&root, &files);
+        let _ = fs::remove_dir_all(&root);
+        let msgs: Vec<&str> = found.iter().map(|f| f.message.as_str()).collect();
+        assert_eq!(found.len(), 1, "{msgs:?}");
+        assert_eq!(found[0].file, "results/PROFILE_ci.json");
+        assert!(msgs[0].contains("`ghost.counter`"), "{msgs:?}");
     }
 
     #[test]

@@ -309,14 +309,15 @@ struct AggOverhead {
     profile: String,
 }
 
-/// Overhead of aggregate-mode profiling (`RFKIT_TRACE_MODE=agg`) on the
-/// bordered batch workload: best-of timings of the identical sweep with
-/// telemetry fully disabled and then armed in aggregate mode. The agg
-/// phase leaves its call-path profile at `profile_out` (the flush is
-/// outside the timed region — steady-state recording cost is the claim,
-/// not serialization). Telemetry is restored to the environment's
-/// configuration before returning, so a traced CI invocation still
-/// flushes its own trace afterwards.
+/// Overhead of aggregate-mode profiling on the bordered batch workload:
+/// best-of timings of the identical sweep with telemetry fully disabled
+/// and then armed. The armed phase leaves its call-path profile at
+/// `profile_out` (the flush is outside the timed region — steady-state
+/// recording cost is the claim, not serialization). Telemetry is
+/// restored to the environment's configuration before returning, so a
+/// traced CI invocation still flushes its own profile afterwards; the
+/// re-arm starts a fresh call-path tree, while counters and histograms
+/// keep accumulating.
 fn measure_agg_overhead(
     c: &Circuit,
     grid: &[f64],

@@ -32,7 +32,7 @@
 //! `surrogate.fit` span cost against the `study.pareto` total, i.e. what
 //! the model fits cost next to the sweeps they avoided. Telemetry is
 //! restored to the environment's configuration afterwards so a traced CI
-//! invocation still flushes its own trace.
+//! invocation still flushes its own profile.
 //!
 //! Usage: `bench_surrogate [--pop N] [--gens N] [--warm-gens N]
 //! [--seed N] [--out PATH] [--profile-out PATH]` plus screen-override

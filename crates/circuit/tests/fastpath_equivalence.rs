@@ -4,6 +4,10 @@
 //! design topology, the linearized-pHEMT stamp case and seeded random RLC
 //! netlists. `assert_eq!` on [`SParams`]/[`NPort`] compares exact floating
 //! bits, not tolerances.
+//!
+//! Every test holds [`SERIAL`] for its whole body: with `rfkit-faults`
+//! on, the fault-parity test arms a process-wide plan that would fail
+//! the unguarded tests' grid points if they ran concurrently.
 
 use rfkit_circuit::{
     s_matrix, two_port_s, AcError, AcStamps, AcWorkspace, Circuit, StampPlan, SWEEP_TOL,
@@ -12,6 +16,13 @@ use rfkit_device::smallsignal::NoiseTemperatures;
 use rfkit_device::Phemt;
 use rfkit_num::linspace;
 use rfkit_num::rng::Rng64;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// The reference-design schematic as a netlist: input match, linearized
 /// device position (stamped separately where used), bias feed and output
@@ -34,6 +45,7 @@ fn reference_design_circuit() -> Circuit {
 
 #[test]
 fn reference_design_sweep_is_bit_identical() {
+    let _serial = serial();
     let c = reference_design_circuit();
     let plan = StampPlan::compile(&c).unwrap();
     let mut ws = AcWorkspace::new();
@@ -50,6 +62,7 @@ fn reference_design_sweep_is_bit_identical() {
 
 #[test]
 fn phemt_stamp_case_is_bit_identical() {
+    let _serial = serial();
     let d = Phemt::atf54143_like();
     let op = d.operating_point(d.bias_for_current(3.0, 0.06).unwrap(), 3.0);
     let ss = d.small_signal(&op);
@@ -117,6 +130,7 @@ fn random_rlc(rng: &mut Rng64) -> Circuit {
 
 #[test]
 fn random_rlc_netlists_are_bit_identical_including_errors() {
+    let _serial = serial();
     let mut rng = Rng64::new(0xfa57_9a7b);
     let mut solved = 0u32;
     for case in 0..120 {
@@ -143,6 +157,7 @@ fn random_rlc_netlists_are_bit_identical_including_errors() {
 
 #[test]
 fn singular_and_degenerate_inputs_match_legacy() {
+    let _serial = serial();
     // A floating internal node makes the Schur block singular.
     let mut c = Circuit::new();
     c.resistor("in", "out", 75.0)
@@ -212,6 +227,7 @@ fn random_structured(rng: &mut Rng64, sections: usize, hub_taps: usize) -> Circu
 
 #[test]
 fn random_structured_netlists_match_dense_within_tol() {
+    let _serial = serial();
     // Cross-check the three solve paths on seeded random netlists: the
     // legacy dense solve is the oracle; the classifier must pick the
     // banded kernel for plain ladders and the bordered kernel for
@@ -254,6 +270,7 @@ fn random_structured_netlists_match_dense_within_tol() {
 
 #[test]
 fn structured_paths_report_errors_point_for_point() {
+    let _serial = serial();
     // A floating capacitor pair makes the Schur block singular at every
     // frequency. The banded kernel hits a zero pivot, falls back to the
     // dense solve, and must surface the *same* error the legacy path
@@ -279,6 +296,7 @@ fn structured_paths_report_errors_point_for_point() {
 #[cfg(feature = "rfkit-faults")]
 #[test]
 fn fault_injection_parity_across_solve_paths() {
+    let _serial = serial();
     // One injection site per solve path: dense, banded and bordered
     // sweeps share the `ac.solve` site and frequency-bits key with the
     // legacy path, so a targeted fault fails the same grid point on both
@@ -323,6 +341,7 @@ fn fault_injection_parity_across_solve_paths() {
 
 #[test]
 fn workspace_survives_topology_changes() {
+    let _serial = serial();
     // Sharing one workspace across plans of different sizes re-warms but
     // stays bit-identical.
     let small = {

@@ -3,6 +3,8 @@
 //! `faults::scoped`, which serializes fault tests against each other and
 //! disarms on drop — so the assertions at the end of each test that the
 //! world is healthy again are real recovery checks, not wishful ordering.
+//! Each test also holds [`SERIAL`] for its whole body, so its unguarded
+//! baseline and recovery solves never run under another test's plan.
 //!
 //! Compiled only with `--features rfkit-faults`; without the feature the
 //! hooks are `#[inline(always)] None` and this file is empty.
@@ -11,6 +13,13 @@
 use rfkit_circuit::dc::{RetryPolicy, SolveError, SolveStage};
 use rfkit_circuit::{s_matrix, solve_dc, solve_dc_robust, AcError, AcStamps, Circuit, StampPlan};
 use rfkit_robust::faults::{self, FaultKind, FaultPlan};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A bias network that needs real Newton work: self-biased FET with a
 /// source resistor (the dc.rs unit suite's nonlinear fixture).
@@ -59,6 +68,7 @@ fn fail_everywhere(kind: FaultKind) -> FaultPlan {
 
 #[test]
 fn every_ladder_rung_is_reachable_by_failing_the_rungs_below_it() {
+    let _serial = serial();
     let c = bias_network();
     let policy = RetryPolicy::default();
     // No faults: the easy path.
@@ -102,6 +112,7 @@ fn every_ladder_rung_is_reachable_by_failing_the_rungs_below_it() {
 
 #[test]
 fn every_solve_error_variant_is_reachable() {
+    let _serial = serial();
     let c = bias_network();
     let policy = RetryPolicy::default();
     // SingularSystem: every rung's linear solve reports a singular matrix.
@@ -166,6 +177,7 @@ fn every_solve_error_variant_is_reachable() {
 
 #[test]
 fn legacy_wrapper_maps_the_structured_taxonomy() {
+    let _serial = serial();
     let c = bias_network();
     {
         let _g = faults::scoped(fail_everywhere(FaultKind::SingularLu));
@@ -185,6 +197,7 @@ fn legacy_wrapper_maps_the_structured_taxonomy() {
 
 #[test]
 fn restricted_ladder_cannot_recover_past_its_last_rung() {
+    let _serial = serial();
     let c = bias_network();
     // Only plain Newton allowed, and it is dead: the error must carry the
     // plain stage, proving no hidden rung ran.
@@ -203,6 +216,7 @@ fn restricted_ladder_cannot_recover_past_its_last_rung() {
 
 #[test]
 fn seeded_fault_subsets_replay_bit_identically() {
+    let _serial = serial();
     // Property test: for every seed, a seeded plan produces the same
     // firings and the same solver outcome when replayed — and once the
     // fault clears, the solution is bit-identical to the unfaulted run.
@@ -235,6 +249,7 @@ fn seeded_fault_subsets_replay_bit_identically() {
 
 #[test]
 fn ac_hook_fails_legacy_and_compiled_paths_identically() {
+    let _serial = serial();
     let c = rlc_two_port();
     let plan = StampPlan::compile(&c).expect("compilable");
     let mut ws = rfkit_circuit::AcWorkspace::new();
@@ -269,6 +284,7 @@ fn ac_hook_fails_legacy_and_compiled_paths_identically() {
 
 #[test]
 fn hb_newton_hook_forces_both_hb_errors() {
+    let _serial = serial();
     use rfkit_circuit::hb::{solve, HbConfig, HbError, HbTestbench};
     use rfkit_num::Complex;
     let device = rfkit_device::Phemt::atf54143_like();
@@ -300,6 +316,7 @@ fn hb_newton_hook_forces_both_hb_errors() {
 
 #[test]
 fn twotone_point_faults_void_the_ip3_extrapolation() {
+    let _serial = serial();
     use rfkit_circuit::{ip3_sweep, time_domain, TwoToneSpec};
     let device = rfkit_device::Phemt::atf54143_like();
     let op = device.operating_point(device.bias_for_current(3.0, 0.06).unwrap(), 3.0);

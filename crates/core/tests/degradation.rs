@@ -4,7 +4,9 @@
 //! yield Monte-Carlo excludes killed units without corrupting the
 //! grading. Every armed section runs under `faults::scoped`, which
 //! serializes fault tests and disarms on drop, so the post-guard
-//! assertions are genuine recovery checks.
+//! assertions are genuine recovery checks. Each test also holds
+//! [`SERIAL`] for its whole body: the unguarded baseline and recovery
+//! calls must not run while another test's plan is armed.
 //!
 //! Compiled only with `--features rfkit-faults`.
 #![cfg(feature = "rfkit-faults")]
@@ -15,6 +17,13 @@ use lna::{
 };
 use rfkit_device::Phemt;
 use rfkit_robust::faults::{self, FaultKind, FaultPlan};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn nominal() -> DesignVariables {
     DesignVariables {
@@ -40,6 +49,7 @@ fn band_fault(band: &BandSpec, indices: &[usize]) -> FaultPlan {
 
 #[test]
 fn k_injected_points_degrade_with_exactly_k_diagnostics_at_any_thread_count() {
+    let _serial = serial();
     // Thread-count flipping lives in this one test because RFKIT_THREADS
     // is process state; the scoped guard already serializes armed runs.
     let device = Phemt::atf54143_like();
@@ -89,6 +99,7 @@ fn k_injected_points_degrade_with_exactly_k_diagnostics_at_any_thread_count() {
 
 #[test]
 fn strict_policy_fails_a_partial_instead_of_degrading() {
+    let _serial = serial();
     let device = Phemt::atf54143_like();
     let band = BandSpec::gnss();
     let amp = Amplifier::new(&device, nominal());
@@ -108,6 +119,7 @@ fn strict_policy_fails_a_partial_instead_of_degrading() {
 
 #[test]
 fn all_points_killed_is_failed_not_infeasible() {
+    let _serial = serial();
     let device = Phemt::atf54143_like();
     let band = BandSpec::gnss();
     let amp = Amplifier::new(&device, nominal());
@@ -125,6 +137,7 @@ fn all_points_killed_is_failed_not_infeasible() {
 
 #[test]
 fn cache_never_stores_a_transiently_faulted_result() {
+    let _serial = serial();
     // The satellite regression: a transient fault during a cached
     // evaluation must leave NO entry behind — neither the degraded
     // partial nor a stale None — so the first query after the fault
@@ -161,6 +174,7 @@ fn cache_never_stores_a_transiently_faulted_result() {
 
 #[test]
 fn yield_run_excludes_killed_units_and_flags_partials() {
+    let _serial = serial();
     let device = Phemt::atf54143_like();
     let band = BandSpec::gnss();
     let spec = YieldSpec {

@@ -68,7 +68,8 @@ pub fn gm3(model: &dyn DcModel, params: &[f64], vgs: f64, vds: f64) -> f64 {
 
 /// Solves `V_gs` such that `I_ds(V_gs, V_ds) = target` by bisection over
 /// `[v_lo, v_hi]`. Returns `None` when the target is not bracketed
-/// (current is monotone in `V_gs` for all five models).
+/// (current is monotone in `V_gs` for all five models) or when the model
+/// returns a non-finite current at a bracket end or a midpoint.
 pub fn vgs_for_current(
     model: &dyn DcModel,
     params: &[f64],
@@ -79,7 +80,7 @@ pub fn vgs_for_current(
 ) -> Option<f64> {
     let f_lo = model.ids(params, v_lo, vds) - target;
     let f_hi = model.ids(params, v_hi, vds) - target;
-    if f_lo * f_hi > 0.0 {
+    if !f_lo.is_finite() || !f_hi.is_finite() || f_lo * f_hi > 0.0 {
         return None;
     }
     let (mut lo, mut hi) = (v_lo, v_hi);
@@ -87,6 +88,9 @@ pub fn vgs_for_current(
     for _ in 0..200 {
         let mid = 0.5 * (lo + hi);
         let f_mid = model.ids(params, mid, vds) - target;
+        if !f_mid.is_finite() {
+            return None;
+        }
         if f_mid.abs() < 1e-12 {
             return Some(mid);
         }
@@ -479,6 +483,56 @@ mod tests {
         let m = Angelov;
         let p = m.default_params();
         assert!(vgs_for_current(&m, &p, 2.0, 10.0, -2.0, 0.8).is_none());
+    }
+
+    /// Linear `I_ds = V_gs` except NaN inside `[nan_lo, nan_hi]`.
+    struct NanWindow {
+        nan_lo: f64,
+        nan_hi: f64,
+    }
+
+    impl DcModel for NanWindow {
+        fn name(&self) -> &'static str {
+            "NaN window stub"
+        }
+        fn param_names(&self) -> &'static [&'static str] {
+            &["unused"]
+        }
+        fn default_params(&self) -> Vec<f64> {
+            vec![0.0]
+        }
+        fn param_bounds(&self) -> Bounds {
+            Bounds::uniform(1, 0.0, 1.0)
+        }
+        fn ids(&self, _params: &[f64], vgs: f64, _vds: f64) -> f64 {
+            if (self.nan_lo..=self.nan_hi).contains(&vgs) {
+                f64::NAN
+            } else {
+                vgs
+            }
+        }
+    }
+
+    #[test]
+    fn vgs_for_current_rejects_non_finite_currents() {
+        // NaN at the lower bracket end: `NaN * f_hi > 0.0` is false, so a
+        // sign test alone would go on to bisect garbage.
+        let m = NanWindow {
+            nan_lo: -1.0,
+            nan_hi: -1.0,
+        };
+        assert_eq!(vgs_for_current(&m, &[0.0], 2.0, 0.25, -1.0, 1.0), None);
+        // NaN at the upper bracket end.
+        assert_eq!(vgs_for_current(&m, &[0.0], 2.0, -0.5, -2.0, -1.0), None);
+        // Finite ends, NaN only at the first midpoint (0.0).
+        let m = NanWindow {
+            nan_lo: -0.1,
+            nan_hi: 0.1,
+        };
+        assert_eq!(vgs_for_current(&m, &[0.0], 2.0, 0.25, -1.0, 1.0), None);
+        // Away from the NaN window the stub still solves normally.
+        let v = vgs_for_current(&m, &[0.0], 2.0, 0.5, 0.2, 1.0).expect("bracketed");
+        assert!((v - 0.5).abs() < 1e-9, "{v}");
     }
 
     #[test]

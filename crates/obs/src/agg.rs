@@ -1,16 +1,16 @@
-//! In-process streaming profile aggregation (`RFKIT_TRACE_MODE=agg`).
+//! In-process streaming profile aggregation: the one thing an armed
+//! process records.
 //!
-//! Instead of one JSONL line per span, closing spans fold into a
-//! process-wide hierarchical call-path tree: each node is keyed by
-//! `(parent, name)` and accumulates call count, total wall time, self
-//! time (duration minus child spans) and a mergeable
-//! [`QuantileSketch`] of durations. Events fold into per-name
-//! first/last summaries. On [`flush`](crate::flush) the tree plus the
-//! counter/histogram registry serialize into one compact
-//! `PROFILE_*.json` — kilobytes where a traced run writes megabytes —
-//! which `rfkit-trace` renders as an indented call-path profile
-//! (`tree`), folded flamegraph stacks (`flame`), and diffs against a
-//! baseline as the CI perf-regression gate (`diff`).
+//! Closing spans fold into a process-wide hierarchical call-path
+//! tree: each node is keyed by `(parent, name)` and accumulates call
+//! count, total wall time, self time (duration minus child spans) and
+//! a mergeable [`QuantileSketch`] of durations. Events fold into
+//! per-name first/last summaries. On [`flush`](crate::flush) the tree
+//! plus the counter/histogram registry serialize into one compact
+//! `PROFILE_*.json`, which `rfkit-trace` summarizes and asserts on,
+//! renders as an indented call-path profile (`tree`) or folded
+//! flamegraph stacks (`flame`), and diffs against a baseline as the CI
+//! perf-regression gate (`diff`).
 //!
 //! Costs when armed: one mutex-guarded tree lookup per span enter and
 //! one per exit; span paths are tracked per thread, so spans opened on
@@ -25,8 +25,8 @@ use std::sync::{Mutex, PoisonError};
 
 use rfkit_num::QuantileSketch;
 
-use crate::json::JsonObj;
-use crate::metrics;
+use crate::profile::{self, ProfEvent, ProfNode, Profile};
+use crate::{metrics, sink};
 
 /// Parent marker for root-level nodes.
 const ROOT: u32 = u32::MAX;
@@ -42,18 +42,11 @@ struct Node {
     durations_us: QuantileSketch,
 }
 
-/// Aggregate of one event name.
-struct EventAgg {
-    points: u64,
-    first: Vec<(String, f64)>,
-    last: Vec<(String, f64)>,
-}
-
 #[derive(Default)]
 struct Tree {
     nodes: Vec<Node>,
     index: BTreeMap<(u32, &'static str), u32>,
-    events: BTreeMap<String, EventAgg>,
+    events: BTreeMap<String, ProfEvent>,
 }
 
 static TREE: Mutex<Tree> = Mutex::new(Tree {
@@ -129,18 +122,18 @@ pub(crate) fn exit(dur_ns: u64, self_ns: u64) {
 
 /// Fold one event into its per-name summary.
 pub(crate) fn record_event(name: &str, fields: &[(&str, f64)]) {
+    let snap: BTreeMap<String, f64> = fields.iter().map(|(k, v)| (k.to_string(), *v)).collect();
     let mut t = lock();
     match t.events.get_mut(name) {
-        Some(agg) => {
-            agg.points += 1;
-            agg.last = fields.iter().map(|(k, v)| (k.to_string(), *v)).collect();
+        Some(e) => {
+            e.points += 1;
+            e.last = snap;
         }
         None => {
-            let snap: Vec<(String, f64)> =
-                fields.iter().map(|(k, v)| (k.to_string(), *v)).collect();
             t.events.insert(
                 name.to_string(),
-                EventAgg {
+                ProfEvent {
+                    name: name.to_string(),
                     points: 1,
                     first: snap.clone(),
                     last: snap,
@@ -151,11 +144,19 @@ pub(crate) fn record_event(name: &str, fields: &[(&str, f64)]) {
 }
 
 /// Serialize the whole aggregate — tree, counters, histograms, events —
-/// as one profile JSON document and hand it to the sink.
+/// as one profile JSON document and hand it to the sink. With
+/// `RFKIT_LOG` armed, counter totals and histogram counts also echo
+/// to stderr.
 pub(crate) fn flush_profile() {
     // The flush itself is telemetry: record it as a `profile.flush`
     // event so the artifact documents its own shape, then snapshot.
     let (counters, hists) = metrics::registry_snapshot();
+    for (name, value) in &counters {
+        sink::log(|| format!("counter {name} = {value}"));
+    }
+    for (name, h) in &hists {
+        sink::log(|| format!("hist {name} count={} sum={}", h.count, h.sum));
+    }
     let pre = lock();
     let nodes = pre.nodes.len();
     let events = pre.events.len();
@@ -170,118 +171,55 @@ pub(crate) fn flush_profile() {
         ],
     );
 
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let meta = [
+        ("pid", std::process::id().to_string()),
+        ("cores", cores.to_string()),
+        (
+            "threads_env",
+            std::env::var("RFKIT_THREADS").unwrap_or_default(),
+        ),
+        ("wall_us", crate::now_us().to_string()),
+    ];
+    let mut p = Profile {
+        meta: meta.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
+        counters,
+        hists,
+        ..Profile::default()
+    };
+
     let t = lock();
-    // Paths are rebuilt by walking parents; rows sort by path string so
+    // Paths are rebuilt by walking parents; nodes sort by path string so
     // the serialized profile is independent of node discovery order.
-    let mut rows: Vec<(String, &Node)> = t
+    p.nodes = t
         .nodes
         .iter()
         .map(|n| {
             let mut parts = vec![n.name];
-            let mut p = n.parent;
-            while p != ROOT {
-                let parent = &t.nodes[p as usize];
+            let mut id = n.parent;
+            while id != ROOT {
+                let parent = &t.nodes[id as usize];
                 parts.push(parent.name);
-                p = parent.parent;
+                id = parent.parent;
             }
             parts.reverse();
-            (parts.join(";"), n)
+            ProfNode {
+                path: parts.join(";"),
+                name: n.name.to_string(),
+                count: n.count,
+                total_us: n.total_ns / 1_000,
+                self_us: n.self_ns / 1_000,
+                max_us: n.max_ns / 1_000,
+                p50_us: n.durations_us.quantile(0.50),
+                p95_us: n.durations_us.quantile(0.95),
+            }
         })
         .collect();
-    rows.sort_by(|a, b| a.0.cmp(&b.0));
-
-    let mut out = String::from("{\n");
-    out.push_str("\"kind\":\"rfkit-profile\",\n\"version\":1,\n");
-    let mut meta = JsonObj::new();
-    meta.num("pid", std::process::id() as f64);
-    meta.str(
-        "threads_env",
-        &std::env::var("RFKIT_THREADS").unwrap_or_default(),
-    );
-    meta.num("wall_us", crate::now_us() as f64);
-    out.push_str(&format!("\"meta\":{},\n", meta.finish()));
-
-    out.push_str("\"nodes\":[\n");
-    for (i, (path, n)) in rows.iter().enumerate() {
-        let mut o = JsonObj::new();
-        o.str("path", path);
-        o.str("name", n.name);
-        o.num("count", n.count as f64);
-        o.num("total_us", (n.total_ns / 1_000) as f64);
-        o.num("self_us", (n.self_ns / 1_000) as f64);
-        o.num("max_us", (n.max_ns / 1_000) as f64);
-        o.num("p50_us", n.durations_us.quantile(0.50));
-        o.num("p95_us", n.durations_us.quantile(0.95));
-        out.push_str(&o.finish());
-        out.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
-    }
-    out.push_str("],\n");
-
-    let mut cobj = JsonObj::new();
-    for (name, value) in &counters {
-        cobj.num(name, *value as f64);
-    }
-    out.push_str(&format!("\"counters\":{},\n", cobj.finish()));
-
-    out.push_str("\"hists\":[\n");
-    for (i, h) in hists.iter().enumerate() {
-        let mut o = JsonObj::new();
-        o.str("name", h.name);
-        o.num("count", h.count as f64);
-        o.num("sum", h.sum as f64);
-        o.num("p50", h.p50);
-        o.num("p90", h.p90);
-        o.num("p99", h.p99);
-        let mut arr = String::from("[");
-        for (j, (upper, c)) in h.buckets.iter().enumerate() {
-            if j > 0 {
-                arr.push(',');
-            }
-            arr.push_str(&format!("[{upper},{c}]"));
-        }
-        arr.push(']');
-        o.raw("buckets", &arr);
-        if let Some(sk) = &h.sketch {
-            let mut sobj = JsonObj::new();
-            sobj.num("zeros", sk.zeros() as f64);
-            let mut sarr = String::from("[");
-            for (j, (k, c)) in sk.buckets().enumerate() {
-                if j > 0 {
-                    sarr.push(',');
-                }
-                sarr.push_str(&format!("[{k},{c}]"));
-            }
-            sarr.push(']');
-            sobj.raw("buckets", &sarr);
-            o.raw("sketch", &sobj.finish());
-        }
-        out.push_str(&o.finish());
-        out.push_str(if i + 1 == hists.len() { "\n" } else { ",\n" });
-    }
-    out.push_str("],\n");
-
-    out.push_str("\"events\":[\n");
-    for (i, (name, e)) in t.events.iter().enumerate() {
-        let mut o = JsonObj::new();
-        o.str("name", name);
-        o.num("points", e.points as f64);
-        let mut first = JsonObj::new();
-        for (k, v) in &e.first {
-            first.num(k, *v);
-        }
-        o.raw("first", &first.finish());
-        let mut last = JsonObj::new();
-        for (k, v) in &e.last {
-            last.num(k, *v);
-        }
-        o.raw("last", &last.finish());
-        out.push_str(&o.finish());
-        out.push_str(if i + 1 == t.events.len() { "\n" } else { ",\n" });
-    }
-    out.push_str("]\n}\n");
+    p.nodes.sort_by(|a, b| a.path.cmp(&b.path));
+    p.events = t.events.values().cloned().collect();
     drop(t);
 
-    crate::sink::write_whole(&out);
+    sink::write_whole(&profile::render_profile_json(&p));
 }
 
 #[cfg(test)]

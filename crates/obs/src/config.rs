@@ -2,39 +2,34 @@
 
 use std::path::PathBuf;
 
-/// What an armed trace records.
+/// What an armed trace records. Aggregation is the only mode; the
+/// enum stays so existing `TraceConfig { mode, .. }` literals compile.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TraceMode {
-    /// One JSONL line per span/event as it happens, metrics on flush.
-    /// Complete but heavy: megabytes on a long run.
-    #[default]
-    Jsonl,
     /// In-process streaming aggregation: spans fold into a call-path
     /// tree, histogram samples into quantile sketches, and the run
-    /// writes one compact `PROFILE_*.json` on flush. Cheap enough to
-    /// leave armed under load and in every CI stage.
+    /// writes one compact `PROFILE_*.json` on flush.
+    #[default]
     Agg,
 }
 
 /// Runtime telemetry configuration.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceConfig {
-    /// Record a trace file.
+    /// Write a profile on flush.
     pub trace: bool,
     /// Echo human-readable lines to stderr.
     pub log: bool,
-    /// Explicit sink path; `None` means the default
-    /// `results/TRACE_<secs>_<pid>.jsonl` (Jsonl mode) or
-    /// `results/PROFILE_<secs>_<pid>.json` (Agg mode).
+    /// Explicit profile path; `None` means the default
+    /// `results/PROFILE_<secs>_<pid>.json`.
     pub out: Option<PathBuf>,
-    /// Recording mode (`RFKIT_TRACE_MODE=agg` selects aggregation).
+    /// Recording mode (always [`TraceMode::Agg`]).
     pub mode: TraceMode,
 }
 
 impl TraceConfig {
-    /// Read `RFKIT_TRACE`, `RFKIT_LOG`, `RFKIT_TRACE_OUT` and
-    /// `RFKIT_TRACE_MODE`. Setting `RFKIT_TRACE_OUT` implies
-    /// `RFKIT_TRACE`.
+    /// Read `RFKIT_TRACE`, `RFKIT_LOG` and `RFKIT_TRACE_OUT`. Setting
+    /// `RFKIT_TRACE_OUT` implies `RFKIT_TRACE`.
     pub fn from_env() -> Self {
         Self::from_lookup(|k| std::env::var(k).ok())
     }
@@ -53,23 +48,11 @@ impl TraceConfig {
             .map(|s| s.trim().to_string())
             .filter(|s| !s.is_empty())
             .map(PathBuf::from);
-        let mode = match get("RFKIT_TRACE_MODE") {
-            Some(s) if s.trim().eq_ignore_ascii_case("agg") => TraceMode::Agg,
-            Some(s) if !s.trim().is_empty() && !s.trim().eq_ignore_ascii_case("jsonl") => {
-                eprintln!(
-                    "rfkit-obs: unknown RFKIT_TRACE_MODE `{}` (want `jsonl` or `agg`); \
-                     recording JSONL",
-                    s.trim()
-                );
-                TraceMode::Jsonl
-            }
-            _ => TraceMode::Jsonl,
-        };
         TraceConfig {
             trace: truthy(get("RFKIT_TRACE")) || out.is_some(),
             log: truthy(get("RFKIT_LOG")),
             out,
-            mode,
+            mode: TraceMode::Agg,
         }
     }
 }
@@ -111,24 +94,11 @@ mod tests {
 
     #[test]
     fn trace_out_implies_trace_and_sets_path() {
-        let cfg = TraceConfig::from_lookup(lookup(&[("RFKIT_TRACE_OUT", "/tmp/t.jsonl")]));
+        let cfg = TraceConfig::from_lookup(lookup(&[("RFKIT_TRACE_OUT", "/tmp/p.json")]));
         assert!(cfg.trace);
         assert_eq!(
             cfg.out.as_deref(),
-            Some(std::path::Path::new("/tmp/t.jsonl"))
+            Some(std::path::Path::new("/tmp/p.json"))
         );
-    }
-
-    #[test]
-    fn trace_mode_parses_agg_and_defaults_to_jsonl() {
-        let cfg = TraceConfig::from_lookup(lookup(&[("RFKIT_TRACE", "1")]));
-        assert_eq!(cfg.mode, TraceMode::Jsonl);
-        for v in ["agg", "AGG", " agg "] {
-            let cfg =
-                TraceConfig::from_lookup(lookup(&[("RFKIT_TRACE", "1"), ("RFKIT_TRACE_MODE", v)]));
-            assert_eq!(cfg.mode, TraceMode::Agg, "value {v:?}");
-        }
-        let cfg = TraceConfig::from_lookup(lookup(&[("RFKIT_TRACE_MODE", "jsonl")]));
-        assert_eq!(cfg.mode, TraceMode::Jsonl);
     }
 }

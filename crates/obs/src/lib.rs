@@ -2,11 +2,14 @@
 //!
 //! Compiled into every crate but runtime-gated: with `RFKIT_TRACE` and
 //! `RFKIT_LOG` unset, every instrumentation call is a single relaxed
-//! atomic load plus a predictable branch. When armed, the crate records
+//! atomic load plus a predictable branch. When armed, the crate folds
 //! RAII [`Span`]s with monotonic timing, [`Counter`]s, log2-bucket
-//! [`Hist`]ograms and free-form numeric [`event`]s into a JSONL sink
-//! (default `results/TRACE_<secs>_<pid>.jsonl`, overridable via
-//! `RFKIT_TRACE_OUT`).
+//! [`Hist`]ograms and free-form numeric [`event`]s into one in-process
+//! aggregate ([`agg`]). [`flush`] writes it as a single
+//! `PROFILE_*.json` (default `results/PROFILE_<secs>_<pid>.json`,
+//! overridable via `RFKIT_TRACE_OUT`), which [`profile`] parses back
+//! and `rfkit-trace` summarizes, renders and diffs. Nothing is written
+//! before the flush, so a process killed mid-run leaves no profile.
 //!
 //! Determinism contract (PR 1): telemetry is strictly write-only with
 //! respect to the numeric pipeline. Nothing in this crate is ever read
@@ -19,9 +22,8 @@
 //!
 //! | Variable           | Effect                                            |
 //! |--------------------|---------------------------------------------------|
-//! | `RFKIT_TRACE`      | non-empty & not `0`: record a trace               |
-//! | `RFKIT_TRACE_MODE` | `agg`: fold into one `PROFILE_*.json` ([`agg`])   |
-//! | `RFKIT_TRACE_OUT`  | sink path (implies `RFKIT_TRACE`)                 |
+//! | `RFKIT_TRACE`      | non-empty & not `0`: write a profile on flush     |
+//! | `RFKIT_TRACE_OUT`  | profile path (implies `RFKIT_TRACE`)              |
 //! | `RFKIT_LOG`        | non-empty & not `0`: echo human lines to stderr   |
 
 #![forbid(unsafe_code)]
@@ -33,7 +35,7 @@ pub mod json;
 pub mod metrics;
 pub mod profile;
 pub mod registry;
-pub mod sink;
+mod sink;
 pub mod span;
 pub mod summary;
 
@@ -47,11 +49,9 @@ use std::time::Instant;
 
 /// Global arming state: 0 = uninitialised, 1 = disabled, 2 = armed.
 static STATE: AtomicU8 = AtomicU8::new(0);
-/// Recording mode of the armed state: 0 = JSONL, 1 = aggregate.
-static MODE: AtomicU8 = AtomicU8::new(0);
 /// Serialises lazy init so exactly one thread installs the sink.
 static INIT_LOCK: Mutex<()> = Mutex::new(());
-/// Monotonic epoch for all `t_us` timestamps in one process.
+/// Monotonic epoch of [`now_us`] (the profile's `wall_us`).
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
 /// True when telemetry is armed. This is the hot-path gate: a relaxed
@@ -91,23 +91,14 @@ pub fn init(cfg: &TraceConfig) {
 fn apply(cfg: &TraceConfig) -> bool {
     let _ = EPOCH.set(Instant::now());
     let armed = cfg.trace || cfg.log;
-    let agg = cfg.trace && cfg.mode == TraceMode::Agg;
-    if agg {
-        // A profile covers exactly one armed window: re-arming
-        // aggregation starts a fresh call-path tree.
+    if armed {
+        // A profile covers exactly one armed window: re-arming starts
+        // a fresh call-path tree.
         agg::reset();
     }
     sink::install(cfg);
-    MODE.store(if agg { 1 } else { 0 }, Ordering::Relaxed);
     STATE.store(if armed { 2 } else { 1 }, Ordering::Relaxed);
     armed
-}
-
-/// True when armed in aggregate-profile mode. Only meaningful after
-/// [`enabled`] returned true.
-#[inline]
-pub(crate) fn agg_mode() -> bool {
-    MODE.load(Ordering::Relaxed) == 1
 }
 
 /// Microseconds since the trace epoch (first telemetry touch). Returns
@@ -121,40 +112,34 @@ pub fn now_us() -> u64 {
     }
 }
 
-/// Record a named event with numeric fields. No-op unless armed. In
-/// JSONL mode the event streams to the sink (non-finite values
-/// serialise as JSON `null`); in aggregate mode it folds into a
-/// per-name first/last summary in the profile.
+/// Record a named event with numeric fields. No-op unless armed. The
+/// event folds into a per-name first/last summary in the profile;
+/// non-finite fields serialise as JSON `null` and drop out on parse.
 #[inline]
 pub fn event(name: &str, fields: &[(&str, f64)]) {
     if !enabled() {
         return;
     }
-    if agg_mode() {
-        agg::record_event(name, fields);
-    } else {
-        sink::emit_event(name, fields);
-    }
+    agg::record_event(name, fields);
+    sink::log(|| {
+        let mut s = format!("event {name}");
+        for (k, v) in fields {
+            s.push_str(&format!(" {k}={v}"));
+        }
+        s
+    });
 }
 
-/// Dump cumulative state to the sink: in JSONL mode every registered
-/// counter and histogram (spans and events stream as they happen); in
-/// aggregate mode the whole profile — call-path tree, counters,
-/// histogram sketches, event summaries — as one `PROFILE_*.json`.
-/// Call at the end of a run (binaries do; the traced CI stages rely
-/// on it).
+/// Write the whole aggregate — call-path tree, counters, histogram
+/// sketches, event summaries — as one `PROFILE_*.json`. Call at the
+/// end of a run (binaries do; the traced CI stages rely on it).
 pub fn flush() {
-    if !enabled() {
-        return;
-    }
-    if agg_mode() {
+    if enabled() {
         agg::flush_profile();
-    } else {
-        metrics::flush_registry();
     }
 }
 
-/// Path of the active JSONL sink, if tracing to a file.
+/// Path of the profile the next [`flush`] writes, if tracing to a file.
 pub fn trace_path() -> Option<std::path::PathBuf> {
     sink::path()
 }

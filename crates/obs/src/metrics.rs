@@ -1,5 +1,5 @@
 //! Atomic counters and fixed-bucket (log2) histograms with a global
-//! registry, dumped to the sink by [`flush`](crate::flush).
+//! registry, snapshotted into the profile by [`flush`](crate::flush).
 //!
 //! Both types are designed to live in `static` items inside
 //! instrumented crates:
@@ -15,12 +15,13 @@
 //! static into the registry, so flushing only reports metrics that
 //! were actually touched.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 use rfkit_num::QuantileSketch;
 
-use crate::sink;
+use crate::profile::ProfHist;
 
 /// Number of log2 buckets: value 0, then one bucket per power of two
 /// up to `u64::MAX` (index = 64 - leading_zeros).
@@ -88,10 +89,9 @@ pub struct Hist {
     count: AtomicU64,
     sum: AtomicU64,
     buckets: [AtomicU64; BUCKETS],
-    // Fed only in aggregate-profile mode: a mergeable sketch with ~2%
-    // relative error, much tighter than the log2 buckets' factor-of-2.
-    // `None` until the first agg-mode sample keeps the disarmed and
-    // JSONL paths allocation-free.
+    // A mergeable sketch with ~2% relative error, much tighter than the
+    // log2 buckets' factor-of-2. `None` until the first armed sample
+    // keeps the disarmed path allocation-free.
     sketch: Mutex<Option<QuantileSketch>>,
     registered: AtomicBool,
 }
@@ -184,10 +184,8 @@ impl Hist {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        if crate::agg_mode() {
-            let mut g = self.sketch.lock().unwrap_or_else(PoisonError::into_inner);
-            g.get_or_insert_with(QuantileSketch::new).record(v as f64);
-        }
+        let mut g = self.sketch.lock().unwrap_or_else(PoisonError::into_inner);
+        g.get_or_insert_with(QuantileSketch::new).record(v as f64);
     }
 
     /// q-th percentile of recorded samples with interpolation inside
@@ -234,72 +232,43 @@ impl Hist {
     }
 }
 
-/// Point-in-time copy of one histogram for the aggregate profile.
-pub(crate) struct HistSnap {
-    pub name: &'static str,
-    pub count: u64,
-    pub sum: u64,
-    pub p50: f64,
-    pub p90: f64,
-    pub p99: f64,
-    pub buckets: Vec<(u64, u64)>,
-    pub sketch: Option<QuantileSketch>,
-}
-
-/// Snapshot of every registered counter and histogram, sorted by name
+/// Snapshot of every registered counter and histogram, keyed by name
 /// so the serialized profile is independent of registration order.
-pub(crate) fn registry_snapshot() -> (Vec<(&'static str, u64)>, Vec<HistSnap>) {
+pub(crate) fn registry_snapshot() -> (BTreeMap<String, u64>, BTreeMap<String, ProfHist>) {
     let counters: Vec<&'static Counter> = REGISTRY
         .counters
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
         .clone();
-    let mut cs: Vec<(&'static str, u64)> = counters.iter().map(|c| (c.name, c.value())).collect();
-    cs.sort_by_key(|&(name, _)| name);
+    let cs = counters
+        .iter()
+        .map(|c| (c.name.to_string(), c.value()))
+        .collect();
     let hists: Vec<&'static Hist> = REGISTRY
         .hists
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
         .clone();
-    let mut hs: Vec<HistSnap> = hists
+    let hs = hists
         .iter()
-        .map(|h| HistSnap {
-            name: h.name,
-            count: h.count(),
-            sum: h.sum(),
-            p50: h.percentile(0.50) as f64,
-            p90: h.percentile(0.90) as f64,
-            p99: h.percentile(0.99) as f64,
-            buckets: h.snapshot(),
-            sketch: h
-                .sketch
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .clone(),
+        .map(|h| {
+            let snap = ProfHist {
+                count: h.count(),
+                sum: h.sum(),
+                p50: h.percentile(0.50) as f64,
+                p90: h.percentile(0.90) as f64,
+                p99: h.percentile(0.99) as f64,
+                buckets: h.snapshot(),
+                sketch: h
+                    .sketch
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .clone(),
+            };
+            (h.name.to_string(), snap)
         })
         .collect();
-    hs.sort_by_key(|s| s.name);
     (cs, hs)
-}
-
-/// Emit every registered counter and histogram to the sink.
-pub(crate) fn flush_registry() {
-    let counters: Vec<&'static Counter> = REGISTRY
-        .counters
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clone();
-    for c in counters {
-        sink::emit_counter(c.name, c.value());
-    }
-    let hists: Vec<&'static Hist> = REGISTRY
-        .hists
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clone();
-    for h in hists {
-        sink::emit_hist(h.name, h.count(), h.sum(), &h.snapshot());
-    }
 }
 
 #[cfg(test)]

@@ -1,20 +1,19 @@
 //! Aggregate-profile ingestion, rendering and diffing.
 //!
-//! A `PROFILE_*.json` (written by [`crate::agg`] in
-//! `RFKIT_TRACE_MODE=agg` runs) parses into a [`Profile`]: a call-path
-//! tree plus counter/histogram/event snapshots. `rfkit-trace` renders
-//! it as an indented call-path profile ([`render_tree`]), folded
+//! A `PROFILE_*.json` (written by [`crate::agg`] on flush) parses into
+//! a [`Profile`]: a call-path tree plus counter/histogram/event
+//! snapshots. `rfkit-trace` summarizes it ([`crate::summary`]), renders
+//! it as an indented call-path profile ([`render_tree`]) or folded
 //! flamegraph stacks ([`render_flame`] — one `path self_us` line per
-//! call path, directly consumable by flamegraph tooling), or
-//! converts it to a [`Summary`] so the `--expect*` assertion machinery
-//! works identically on traces and profiles. [`diff`] compares two
-//! profiles path-by-path with noise-aware thresholds and backs the CI
-//! perf-regression gate.
+//! call path, directly consumable by flamegraph tooling), and [`diff`]
+//! compares two profiles path-by-path with noise-aware thresholds to
+//! back the CI perf-regression gate.
 
 use std::collections::BTreeMap;
 
+use rfkit_num::QuantileSketch;
+
 use crate::json::{self, Json, JsonObj};
-use crate::summary::{HistAgg, SeriesAgg, SpanAgg, Summary};
 
 /// One call-path node of a parsed profile.
 #[derive(Debug, Clone)]
@@ -52,12 +51,31 @@ pub struct ProfHist {
     pub p99: f64,
     /// `(inclusive_upper, count)` log2 buckets.
     pub buckets: Vec<(u64, u64)>,
+    /// Mergeable quantile sketch of the samples (`None` when the
+    /// histogram recorded none).
+    pub sketch: Option<QuantileSketch>,
+}
+
+/// One event name's summary: how many times it fired, and the numeric
+/// fields of its first and last occurrence (so convergence start ->
+/// end is visible without storing every point).
+#[derive(Debug, Clone)]
+pub struct ProfEvent {
+    /// Event name.
+    pub name: String,
+    /// Number of events observed.
+    pub points: u64,
+    /// Numeric fields of the first event (non-finite ones drop out).
+    pub first: BTreeMap<String, f64>,
+    /// Numeric fields of the last event.
+    pub last: BTreeMap<String, f64>,
 }
 
 /// A parsed aggregate profile.
 #[derive(Debug, Clone, Default)]
 pub struct Profile {
-    /// `meta` fields (pid, threads_env, wall_us) as strings.
+    /// `meta` fields (pid, cores, threads_env, wall_us) as strings;
+    /// unknown keys are kept, so older and newer profiles both parse.
     pub meta: BTreeMap<String, String>,
     /// Call-path nodes, sorted by path.
     pub nodes: Vec<ProfNode>,
@@ -66,36 +84,39 @@ pub struct Profile {
     /// Histogram name -> snapshot.
     pub hists: BTreeMap<String, ProfHist>,
     /// Event first/last summaries.
-    pub events: Vec<SeriesAgg>,
+    pub events: Vec<ProfEvent>,
 }
 
-/// Cheap sniff: does `text` look like an aggregate profile rather than
-/// a JSONL trace? Used by `rfkit-trace` to auto-detect the format.
-pub fn is_profile(text: &str) -> bool {
-    let head: String = text
-        .chars()
-        .take(200)
-        .filter(|c| !c.is_whitespace())
-        .collect();
-    head.starts_with('{') && head.contains("\"kind\":\"rfkit-profile\"")
+impl Profile {
+    /// Number of recorded items: call paths, counters, histograms and
+    /// event names.
+    pub fn records(&self) -> usize {
+        self.nodes.len() + self.counters.len() + self.hists.len() + self.events.len()
+    }
 }
 
 fn num_of(v: &Json, key: &str) -> f64 {
     v.get(key).and_then(Json::as_f64).unwrap_or(0.0)
 }
 
-fn pairs_of(v: &Json, key: &str) -> Vec<(u64, u64)> {
+fn pairs_of(v: &Json, key: &str) -> Vec<(f64, u64)> {
     v.get(key)
         .and_then(Json::as_arr)
         .map(|arr| {
             arr.iter()
                 .filter_map(|pair| {
                     let p = pair.as_arr()?;
-                    Some((p.first()?.as_f64()? as u64, p.get(1)?.as_f64()? as u64))
+                    Some((p.first()?.as_f64()?, p.get(1)?.as_f64()? as u64))
                 })
                 .collect()
         })
         .unwrap_or_default()
+}
+
+/// `[[a,b],...]` pairs as a JSON array.
+fn pairs_json<K: std::fmt::Display>(pairs: impl Iterator<Item = (K, u64)>) -> String {
+    let items: Vec<String> = pairs.map(|(k, c)| format!("[{k},{c}]")).collect();
+    format!("[{}]", items.join(","))
 }
 
 fn fields_of(v: &Json, key: &str) -> BTreeMap<String, f64> {
@@ -110,11 +131,12 @@ fn fields_of(v: &Json, key: &str) -> BTreeMap<String, f64> {
     out
 }
 
-/// Parse a profile document. Rejects non-profile JSON with a message
-/// naming the expected `kind`, so feeding a summary JSON or a trace
-/// line here fails loudly instead of producing an empty profile.
+/// Parse a profile document. Rejects anything else — invalid JSON, a
+/// JSONL event stream, a summary or another document kind — with a
+/// "not an aggregate profile" message instead of producing an empty
+/// profile.
 pub fn parse(text: &str) -> Result<Profile, String> {
-    let v = json::parse(text)?;
+    let v = json::parse(text).map_err(|e| format!("not an aggregate profile ({e})"))?;
     if v.get("kind").and_then(Json::as_str) != Some("rfkit-profile") {
         return Err("not an aggregate profile (kind != rfkit-profile)".to_string());
     }
@@ -173,12 +195,22 @@ pub fn parse(text: &str) -> Result<Profile, String> {
                 p50: num_of(h, "p50"),
                 p90: num_of(h, "p90"),
                 p99: num_of(h, "p99"),
-                buckets: pairs_of(h, "buckets"),
+                buckets: pairs_of(h, "buckets")
+                    .into_iter()
+                    .map(|(upper, c)| (upper as u64, c))
+                    .collect(),
+                sketch: h.get("sketch").map(|sk| {
+                    let buckets = pairs_of(sk, "buckets");
+                    QuantileSketch::from_parts(
+                        num_of(sk, "zeros") as u64,
+                        buckets.into_iter().map(|(k, c)| (k as i64, c)),
+                    )
+                }),
             },
         );
     }
     for e in v.get("events").and_then(Json::as_arr).unwrap_or_default() {
-        p.events.push(SeriesAgg {
+        p.events.push(ProfEvent {
             name: e
                 .get("name")
                 .and_then(Json::as_str)
@@ -192,50 +224,7 @@ pub fn parse(text: &str) -> Result<Profile, String> {
     Ok(p)
 }
 
-/// Fold a profile into the flat [`Summary`] shape: nodes sharing a
-/// span name merge (a name reached via two call paths reports combined
-/// totals, as the JSONL summarizer would). This is what lets
-/// `--expect`/`--expect-min`/`--expect-max` assert on profiles and
-/// traces with the same semantics.
-pub fn to_summary(p: &Profile) -> Summary {
-    let mut s = Summary {
-        records: p.nodes.len() + p.counters.len() + p.hists.len() + p.events.len(),
-        meta: p.meta.clone(),
-        ..Summary::default()
-    };
-    let mut by_name: BTreeMap<String, SpanAgg> = BTreeMap::new();
-    for n in &p.nodes {
-        let agg = by_name.entry(n.name.clone()).or_insert_with(|| SpanAgg {
-            name: n.name.clone(),
-            count: 0,
-            total_us: 0,
-            self_us: 0,
-            max_us: 0,
-        });
-        agg.count += n.count;
-        agg.total_us += n.total_us;
-        agg.self_us += n.self_us;
-        agg.max_us = agg.max_us.max(n.max_us);
-    }
-    s.spans = by_name.into_values().collect();
-    s.spans
-        .sort_by(|a, b| b.self_us.cmp(&a.self_us).then(a.name.cmp(&b.name)));
-    s.counters = p.counters.clone();
-    for (name, h) in &p.hists {
-        s.hists.insert(
-            name.clone(),
-            HistAgg {
-                count: h.count,
-                sum: h.sum,
-                buckets: h.buckets.clone(),
-            },
-        );
-    }
-    s.series = p.events.clone();
-    s
-}
-
-fn fmt_us(us: u64) -> String {
+pub(crate) fn fmt_us(us: u64) -> String {
     if us >= 1_000_000 {
         format!("{:.2}s", us as f64 / 1e6)
     } else if us >= 1_000 {
@@ -511,10 +500,9 @@ pub fn render_diff(r: &DiffReport, rel_tol: f64, min_self_us: u64) -> String {
     out
 }
 
-/// Serialise a parsed profile back to its document form. Used by
-/// `rfkit-trace --write-baseline`-style flows in ci.sh (copying a
-/// fresh profile over the checked-in baseline) and by tests that need
-/// profiles without arming tracing.
+/// Serialise a profile to its document form. This is the one writer of
+/// the format: [`crate::flush`] writes through it, and parsing its
+/// output then re-serialising is byte-identical.
 pub fn render_profile_json(p: &Profile) -> String {
     let mut out = String::from("{\n\"kind\":\"rfkit-profile\",\n\"version\":1,\n");
     let mut meta = JsonObj::new();
@@ -554,15 +542,13 @@ pub fn render_profile_json(p: &Profile) -> String {
         o.num("p50", h.p50);
         o.num("p90", h.p90);
         o.num("p99", h.p99);
-        let mut arr = String::from("[");
-        for (j, (upper, c)) in h.buckets.iter().enumerate() {
-            if j > 0 {
-                arr.push(',');
-            }
-            arr.push_str(&format!("[{upper},{c}]"));
+        o.raw("buckets", &pairs_json(h.buckets.iter().copied()));
+        if let Some(sk) = &h.sketch {
+            let mut sobj = JsonObj::new();
+            sobj.num("zeros", sk.zeros() as f64);
+            sobj.raw("buckets", &pairs_json(sk.buckets()));
+            o.raw("sketch", &sobj.finish());
         }
-        arr.push(']');
-        o.raw("buckets", &arr);
         out.push_str(&o.finish());
         out.push_str(if i + 1 == p.hists.len() { "\n" } else { ",\n" });
     }
@@ -628,9 +614,10 @@ mod tests {
                 p90: 7.0,
                 p99: 7.0,
                 buckets: vec![(3, 1), (7, 3)],
+                sketch: Some(QuantileSketch::from_parts(1, [(-3, 2), (4100, 3)])),
             },
         );
-        p.events.push(SeriesAgg {
+        p.events.push(ProfEvent {
             name: "opt.de.gen".to_string(),
             points: 10,
             first: BTreeMap::from([("best".to_string(), 5.0)]),
@@ -643,13 +630,16 @@ mod tests {
     fn profile_round_trips_through_its_json_form() {
         let p = sample();
         let text = render_profile_json(&p);
-        assert!(is_profile(&text));
         let q = parse(&text).expect("round-trip parse");
         assert_eq!(q.nodes.len(), 2);
         assert_eq!(q.nodes[1].path, "design.total;circuit.ac.sweep");
         assert_eq!(q.nodes[1].self_us, 4000);
         assert_eq!(q.counters.get("plan.cache.hit"), Some(&3));
         assert_eq!(q.hists["circuit.dc.iters"].buckets, vec![(3, 1), (7, 3)]);
+        assert_eq!(
+            q.hists["circuit.dc.iters"].sketch,
+            p.hists["circuit.dc.iters"].sketch
+        );
         assert_eq!(q.events[0].points, 10);
         // Serialising the reparse is byte-identical: the format is a
         // fixed point, so baseline refreshes never churn spuriously.
@@ -657,39 +647,22 @@ mod tests {
     }
 
     #[test]
-    fn is_profile_rejects_jsonl_traces() {
-        assert!(!is_profile(
-            "{\"t_us\":0,\"kind\":\"meta\",\"name\":\"run\"}\n"
-        ));
-        assert!(!is_profile(""));
-        assert!(parse("{\"kind\":\"other\"}").is_err());
-    }
-
-    #[test]
-    fn to_summary_merges_same_name_paths_and_keeps_metrics() {
+    fn parse_rejects_non_profiles_and_keeps_unknown_meta() {
+        for text in [
+            "{\"t_us\":0,\"kind\":\"meta\",\"name\":\"run\"}\n{\"t_us\":1,\"kind\":\"span\"}\n",
+            "",
+            "{\"kind\":\"other\"}",
+        ] {
+            let err = parse(text).expect_err("not a profile");
+            assert!(err.contains("not an aggregate profile"), "{err}");
+        }
+        // A meta key this version does not know survives the parse.
         let mut p = sample();
-        // Same span name reached via a second path.
-        p.nodes.push(ProfNode {
-            path: "other.root;circuit.ac.sweep".to_string(),
-            name: "circuit.ac.sweep".to_string(),
-            count: 1,
-            total_us: 500,
-            self_us: 500,
-            max_us: 500,
-            p50_us: 500.0,
-            p95_us: 500.0,
-        });
-        let s = to_summary(&p);
-        let sweep = s
-            .spans
-            .iter()
-            .find(|a| a.name == "circuit.ac.sweep")
-            .expect("merged span");
-        assert_eq!(sweep.count, 5);
-        assert_eq!(sweep.total_us, 4500);
-        assert_eq!(s.counters.get("plan.cache.hit"), Some(&3));
-        assert_eq!(s.hists["circuit.dc.iters"].count, 4);
-        assert_eq!(s.series.len(), 1);
+        p.meta.insert("cores".to_string(), "2".to_string());
+        p.meta.insert("future_key".to_string(), "x".to_string());
+        let q = parse(&render_profile_json(&p)).expect("parses");
+        assert_eq!(q.meta.get("cores").map(String::as_str), Some("2"));
+        assert_eq!(q.meta.get("future_key").map(String::as_str), Some("x"));
     }
 
     #[test]

@@ -1,28 +1,17 @@
 //! Telemetry name-registry export: reads the set of instrument names
-//! back out of a JSONL trace file, so external tooling (the
+//! back out of an aggregate profile, so external tooling (the
 //! `rfkit-analyze` contract checker, dashboards) can cross-validate
-//! recorded traces against the names the code actually emits without
-//! re-implementing the trace format.
+//! recorded profiles against the names the code actually emits without
+//! re-implementing the profile format.
 
-use crate::json;
 use std::collections::BTreeSet;
 use std::fs;
 use std::io;
 use std::path::Path;
 
-/// Distinct `name` values of every non-`meta` record in a JSONL trace
-/// (spans, counters, hists, events). Lines that fail to parse are
-/// skipped — a truncated final line from a killed run must not poison
-/// the whole export.
-pub fn trace_names(path: &Path) -> io::Result<BTreeSet<String>> {
-    Ok(names_in_str(&fs::read_to_string(path)?))
-}
-
 /// Distinct instrument names recorded in an aggregate profile: every
-/// node's span name, counter key, histogram name and event name. The
-/// profile-mode counterpart of [`trace_names`], so the contract
-/// checker treats `PROFILE_*.json` artifacts as evidence a name is
-/// live, same as JSONL traces.
+/// node's span name, counter key, histogram name and event name. A
+/// file that does not parse as a profile yields no names.
 pub fn profile_names(path: &Path) -> io::Result<BTreeSet<String>> {
     let text = fs::read_to_string(path)?;
     let mut names = BTreeSet::new();
@@ -38,51 +27,9 @@ pub fn profile_names(path: &Path) -> io::Result<BTreeSet<String>> {
     Ok(names)
 }
 
-/// [`trace_names`] over in-memory trace text.
-pub fn names_in_str(text: &str) -> BTreeSet<String> {
-    let mut names = BTreeSet::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let Ok(rec) = json::parse(line) else { continue };
-        let kind = rec.get("kind").and_then(|k| k.as_str()).unwrap_or("");
-        if kind == "meta" {
-            continue;
-        }
-        if let Some(name) = rec.get("name").and_then(|n| n.as_str()) {
-            names.insert(name.to_string());
-        }
-    }
-    names
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn extracts_non_meta_names() {
-        let trace = r#"{"t_us":1,"kind":"meta","name":"run","pid":7}
-{"t_us":2,"kind":"span","name":"design.total","dur_us":5,"tid":0}
-{"t_us":3,"kind":"counter","name":"plan.cache.hit","value":2}
-{"t_us":4,"kind":"event","name":"opt.de.gen","gen":1}
-{"t_us":5,"kind":"hist","name":"circuit.dc.iters","count":3}
-{"t_us":6,"kind":"span","name":"design.total","dur_us":9,"tid":1}
-"#;
-        let names = names_in_str(trace);
-        let want: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
-        assert_eq!(
-            want,
-            [
-                "circuit.dc.iters",
-                "design.total",
-                "opt.de.gen",
-                "plan.cache.hit"
-            ]
-        );
-    }
 
     #[test]
     fn profile_names_cover_all_instrument_kinds() {
@@ -101,14 +48,14 @@ mod tests {
         for want in ["b", "plan.cache.hit", "circuit.dc.iters", "opt.de.gen"] {
             assert!(names.contains(want), "missing {want}");
         }
+        // A JSONL stream is not a profile: no names, no error.
+        let jsonl = dir.join("PROFILE_stream.json");
+        std::fs::write(
+            &jsonl,
+            "{\"kind\":\"span\",\"name\":\"a.b\"}\n{\"kind\":\"span\"}\n",
+        )
+        .expect("write stream");
+        assert!(profile_names(&jsonl).expect("readable").is_empty());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn tolerates_garbage_and_truncated_lines() {
-        let trace = "not json\n{\"kind\":\"span\",\"name\":\"a.b\"}\n{\"kind\":\"span\",\"na";
-        let names = names_in_str(trace);
-        assert_eq!(names.len(), 1);
-        assert!(names.contains("a.b"));
     }
 }

@@ -1,186 +1,62 @@
-//! The trace sink: a mutex-guarded JSONL file plus optional stderr
-//! echo. Each record is one `write_all` of a complete line — no
-//! user-space buffering, so a process that exits without unwinding
-//! still leaves a parseable trace behind.
+//! Where telemetry leaves the process: the profile path that
+//! [`flush`](crate::flush) writes, and the optional stderr echo.
 
-use std::fs::{self, File};
-use std::io::Write;
+use std::fs;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use crate::config::{TraceConfig, TraceMode};
-use crate::json::JsonObj;
+use crate::config::TraceConfig;
 
-struct SinkState {
-    file: Option<File>,
-    path: Option<PathBuf>,
-    log: bool,
-}
+static PATH: Mutex<Option<PathBuf>> = Mutex::new(None);
+/// `RFKIT_LOG` armed: a relaxed load per record, no lock.
+static LOG: AtomicBool = AtomicBool::new(false);
 
-static SINK: Mutex<Option<SinkState>> = Mutex::new(None);
-
-/// Install the sink for `cfg`; called under the init lock. Failure to
-/// open the trace file degrades to stderr-only (with a warning) rather
-/// than panicking inside instrumented numeric code. In aggregate mode
-/// nothing streams — the path is only remembered so
-/// [`write_whole`] can drop the profile there on flush.
+/// Install the sink for `cfg`; called under the init lock. Nothing is
+/// opened here: the profile is written whole on flush, and a write
+/// failure then degrades to a warning rather than panicking inside
+/// instrumented numeric code.
 pub(crate) fn install(cfg: &TraceConfig) {
-    let mut state = SinkState {
-        file: None,
-        path: None,
-        log: cfg.log,
-    };
-    if cfg.trace {
-        let path = cfg.out.clone().unwrap_or_else(|| default_path(cfg.mode));
+    let path = cfg.trace.then(|| {
+        let path = cfg.out.clone().unwrap_or_else(default_path);
         if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
             let _ = fs::create_dir_all(dir);
         }
-        match cfg.mode {
-            TraceMode::Agg => state.path = Some(path),
-            TraceMode::Jsonl => match File::create(&path) {
-                Ok(f) => {
-                    state.file = Some(f);
-                    state.path = Some(path);
-                }
-                Err(e) => {
-                    eprintln!(
-                        "rfkit-obs: cannot create trace file {}: {e}",
-                        path.display()
-                    );
-                }
-            },
-        }
-    }
-    let mut guard = SINK.lock().unwrap_or_else(PoisonError::into_inner);
-    *guard = Some(state);
-    drop(guard);
-    if (cfg.trace && cfg.mode == TraceMode::Jsonl) || cfg.log {
-        emit_meta();
-    }
+        path
+    });
+    *PATH.lock().unwrap_or_else(PoisonError::into_inner) = path;
+    LOG.store(cfg.log, Ordering::Relaxed);
+    log(|| "trace started".to_string());
 }
 
-fn default_path(mode: TraceMode) -> PathBuf {
+fn default_path() -> PathBuf {
     let secs = SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0);
     let pid = std::process::id();
-    PathBuf::from("results").join(match mode {
-        TraceMode::Jsonl => format!("TRACE_{secs}_{pid}.jsonl"),
-        TraceMode::Agg => format!("PROFILE_{secs}_{pid}.json"),
-    })
+    PathBuf::from("results").join(format!("PROFILE_{secs}_{pid}.json"))
 }
 
-/// Replace the sink file's entire contents (aggregate-profile flush).
-/// Creates the file on first use; errors degrade to a warning.
+/// Replace the profile file's entire contents. Errors degrade to a
+/// warning; without a path (log-only arming) this is a no-op.
 pub(crate) fn write_whole(text: &str) {
-    let path = {
-        let guard = SINK.lock().unwrap_or_else(PoisonError::into_inner);
-        guard.as_ref().and_then(|s| s.path.clone())
-    };
-    let Some(path) = path else { return };
+    let Some(path) = path() else { return };
     if let Err(e) = fs::write(&path, text) {
         eprintln!("rfkit-obs: cannot write profile {}: {e}", path.display());
     }
 }
 
-/// Path of the active trace file, if any.
+/// Path of the profile the next flush writes, if any.
 pub(crate) fn path() -> Option<PathBuf> {
-    SINK.lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .as_ref()
-        .and_then(|s| s.path.clone())
+    PATH.lock().unwrap_or_else(PoisonError::into_inner).clone()
 }
 
-/// Write one finished JSONL line (no trailing newline in `line`) and
-/// optionally echo a human-readable rendering to stderr.
-fn write_line(line: &str, human: impl FnOnce() -> String) {
-    let mut guard = SINK.lock().unwrap_or_else(PoisonError::into_inner);
-    let Some(state) = guard.as_mut() else { return };
-    if let Some(f) = state.file.as_mut() {
-        let mut buf = String::with_capacity(line.len() + 1);
-        buf.push_str(line);
-        buf.push('\n');
-        let _ = f.write_all(buf.as_bytes());
+/// Echo one human-readable line to stderr when `RFKIT_LOG` is armed.
+#[inline]
+pub(crate) fn log(line: impl FnOnce() -> String) {
+    if LOG.load(Ordering::Relaxed) {
+        eprintln!("rfkit-obs: {}", line());
     }
-    let log = state.log;
-    drop(guard);
-    if log {
-        eprintln!("rfkit-obs: {}", human());
-    }
-}
-
-fn emit_meta() {
-    let mut o = JsonObj::new();
-    o.num("t_us", crate::now_us() as f64);
-    o.str("kind", "meta");
-    o.str("name", "run");
-    o.num("pid", std::process::id() as f64);
-    o.str(
-        "threads_env",
-        &std::env::var("RFKIT_THREADS").unwrap_or_default(),
-    );
-    write_line(&o.finish(), || "trace started".to_string());
-}
-
-pub(crate) fn emit_span(name: &str, t0_us: u64, dur_us: u64, self_us: u64, tid: u64) {
-    let mut o = JsonObj::new();
-    o.num("t_us", t0_us as f64);
-    o.str("kind", "span");
-    o.str("name", name);
-    o.num("dur_us", dur_us as f64);
-    o.num("self_us", self_us as f64);
-    o.num("tid", tid as f64);
-    write_line(&o.finish(), || {
-        format!("span {name} {dur_us}us (self {self_us}us)")
-    });
-}
-
-pub(crate) fn emit_event(name: &str, fields: &[(&str, f64)]) {
-    let mut o = JsonObj::new();
-    o.num("t_us", crate::now_us() as f64);
-    o.str("kind", "event");
-    o.str("name", name);
-    o.num("tid", crate::span::tid() as f64);
-    for (k, v) in fields {
-        o.num(k, *v);
-    }
-    write_line(&o.finish(), || {
-        let mut s = format!("event {name}");
-        for (k, v) in fields {
-            s.push_str(&format!(" {k}={v}"));
-        }
-        s
-    });
-}
-
-pub(crate) fn emit_counter(name: &str, value: u64) {
-    let mut o = JsonObj::new();
-    o.num("t_us", crate::now_us() as f64);
-    o.str("kind", "counter");
-    o.str("name", name);
-    o.num("value", value as f64);
-    write_line(&o.finish(), || format!("counter {name} = {value}"));
-}
-
-pub(crate) fn emit_hist(name: &str, count: u64, sum: u64, buckets: &[(u64, u64)]) {
-    let mut o = JsonObj::new();
-    o.num("t_us", crate::now_us() as f64);
-    o.str("kind", "hist");
-    o.str("name", name);
-    o.num("count", count as f64);
-    o.num("sum", sum as f64);
-    let mut arr = String::from("[");
-    for (i, (upper, c)) in buckets.iter().enumerate() {
-        if i > 0 {
-            arr.push(',');
-        }
-        arr.push_str(&format!("[{upper},{c}]"));
-    }
-    arr.push(']');
-    o.raw("buckets", &arr);
-    write_line(&o.finish(), || {
-        format!("hist {name} count={count} sum={sum}")
-    });
 }

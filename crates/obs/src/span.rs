@@ -2,8 +2,8 @@
 //! [`Stopwatch`] for callers that want a raw elapsed-microseconds
 //! reading without naming `std::time` types themselves.
 
-use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use crate::{agg, sink};
@@ -30,23 +30,6 @@ pub(crate) fn attribute_self(dur_ns: u64, child_ns: u64) -> (u64, bool) {
 // span beyond the stack slot.
 thread_local! {
     static CHILD_NS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-    static TID: Cell<u64> = const { Cell::new(u64::MAX) };
-}
-
-static NEXT_TID: AtomicU64 = AtomicU64::new(0);
-
-/// Small dense thread id for trace records (assigned on first use per
-/// thread, stable for the thread's lifetime).
-pub(crate) fn tid() -> u64 {
-    TID.with(|t| {
-        let v = t.get();
-        if v != u64::MAX {
-            return v;
-        }
-        let v = NEXT_TID.fetch_add(1, Ordering::Relaxed);
-        t.set(v);
-        v
-    })
 }
 
 /// A live trace span; records duration and self-time on drop. Obtain
@@ -61,10 +44,6 @@ pub struct Span {
 struct SpanInner {
     name: &'static str,
     start: Instant,
-    t0_us: u64,
-    // Captured at open so a mid-span re-init cannot route the exit to
-    // the wrong backend (the tree bounds-checks stale ids anyway).
-    agg: bool,
 }
 
 /// Open a span. No-op (no clock read, no allocation) unless armed.
@@ -73,17 +52,12 @@ pub fn span(name: &'static str) -> Span {
     if !crate::enabled() {
         return Span { inner: None };
     }
-    let agg = crate::agg_mode();
-    if agg {
-        agg::enter(name);
-    }
+    agg::enter(name);
     CHILD_NS.with(|s| s.borrow_mut().push(0));
     Span {
         inner: Some(SpanInner {
             name,
             start: Instant::now(),
-            t0_us: crate::now_us(),
-            agg,
         }),
     }
 }
@@ -114,17 +88,15 @@ impl Drop for Span {
                 );
             }
         }
-        if inner.agg {
-            agg::exit(dur_ns, self_ns);
-        } else {
-            sink::emit_span(
+        agg::exit(dur_ns, self_ns);
+        sink::log(|| {
+            format!(
+                "span {} {}us (self {}us)",
                 inner.name,
-                inner.t0_us,
                 dur_ns / 1_000,
-                self_ns / 1_000,
-                tid(),
-            );
-        }
+                self_ns / 1_000
+            )
+        });
     }
 }
 
@@ -179,14 +151,5 @@ mod tests {
         // and flagged so the clamp counter records it.
         assert_eq!(attribute_self(100, 140), (0, true));
         assert_eq!(attribute_self(0, 1), (0, true));
-    }
-
-    #[test]
-    fn tids_are_stable_per_thread() {
-        let a = tid();
-        let b = tid();
-        assert_eq!(a, b);
-        let other = std::thread::spawn(tid).join().expect("thread join");
-        assert_ne!(a, other);
     }
 }

@@ -1,30 +1,13 @@
-//! Trace aggregation for `rfkit-trace`: fold a JSONL trace into span
-//! totals, counter values, histogram percentiles and per-optimizer
-//! convergence series, then render as text or JSON.
+//! The flat view `rfkit-trace` prints by default: span totals merged by
+//! name across call paths, counter totals, histogram percentiles and
+//! the per-optimizer convergence table, rendered as text or JSON.
 
 use std::collections::BTreeMap;
 
-use crate::json::{self, Json, JsonObj};
+use crate::json::JsonObj;
+use crate::profile::{fmt_us, ProfEvent, Profile};
 
-/// Aggregated view of one trace file.
-#[derive(Debug, Default)]
-pub struct Summary {
-    /// Total parsed records.
-    pub records: usize,
-    /// `meta` record fields (pid, threads_env) as strings.
-    pub meta: BTreeMap<String, String>,
-    /// Per-span-name aggregates, sorted by self-time descending.
-    pub spans: Vec<SpanAgg>,
-    /// Counter name -> final value (last record wins; counters are
-    /// cumulative so the last flush is the total).
-    pub counters: BTreeMap<String, u64>,
-    /// Histogram name -> final snapshot.
-    pub hists: BTreeMap<String, HistAgg>,
-    /// Event series by name, in first-seen order.
-    pub series: Vec<SeriesAgg>,
-}
-
-/// Aggregate over all spans sharing a name.
+/// Aggregate over all call paths sharing a span name.
 #[derive(Debug, Clone)]
 pub struct SpanAgg {
     /// Span name.
@@ -39,199 +22,34 @@ pub struct SpanAgg {
     pub max_us: u64,
 }
 
-/// Final snapshot of one histogram.
-#[derive(Debug, Clone, Default)]
-pub struct HistAgg {
-    /// Sample count.
-    pub count: u64,
-    /// Sample sum.
-    pub sum: u64,
-    /// `(inclusive_upper, count)` buckets in ascending order.
-    pub buckets: Vec<(u64, u64)>,
-}
-
-impl HistAgg {
-    /// Mean sample value (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
+/// Merge the profile's call-path nodes by leaf span name (a name
+/// reached via two paths reports combined totals), sorted by self time
+/// descending. This is the span view `--expect` checks against.
+pub fn spans_by_name(p: &Profile) -> Vec<SpanAgg> {
+    let mut by_name: BTreeMap<&str, SpanAgg> = BTreeMap::new();
+    for n in &p.nodes {
+        let agg = by_name.entry(&n.name).or_insert_with(|| SpanAgg {
+            name: n.name.clone(),
+            count: 0,
+            total_us: 0,
+            self_us: 0,
+            max_us: 0,
+        });
+        agg.count += n.count;
+        agg.total_us += n.total_us;
+        agg.self_us += n.self_us;
+        agg.max_us = agg.max_us.max(n.max_us);
     }
-
-    /// Approximate quantile `q` in `[0,1]`: the upper bound of the
-    /// first bucket whose cumulative count reaches `q * count`.
-    pub fn percentile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for &(upper, c) in &self.buckets {
-            seen += c;
-            if seen >= target {
-                return upper;
-            }
-        }
-        self.buckets.last().map(|&(u, _)| u).unwrap_or(0)
-    }
+    let mut spans: Vec<SpanAgg> = by_name.into_values().collect();
+    spans.sort_by(|a, b| b.self_us.cmp(&a.self_us).then(a.name.cmp(&b.name)));
+    spans
 }
 
-/// A named event series (e.g. `opt.de.gen`), keeping the first and
-/// last numeric field sets so convergence start -> end is visible
-/// without storing every point.
-#[derive(Debug, Clone)]
-pub struct SeriesAgg {
-    /// Event name.
-    pub name: String,
-    /// Number of events observed.
-    pub points: u64,
-    /// Numeric fields of the first event.
-    pub first: BTreeMap<String, f64>,
-    /// Numeric fields of the last event.
-    pub last: BTreeMap<String, f64>,
-}
-
-/// A parse failure with its line number.
-#[derive(Debug)]
-pub struct SummarizeError {
-    /// 1-based line number in the trace file.
-    pub line: usize,
-    /// Parser message.
-    pub message: String,
-}
-
-impl std::fmt::Display for SummarizeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
-    }
-}
-
-/// Parse and aggregate a JSONL trace.
-pub fn summarize(text: &str) -> Result<Summary, SummarizeError> {
-    let mut out = Summary::default();
-    let mut spans: BTreeMap<String, SpanAgg> = BTreeMap::new();
-    let mut series_index: BTreeMap<String, usize> = BTreeMap::new();
-
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v = json::parse(line).map_err(|message| SummarizeError {
-            line: i + 1,
-            message,
-        })?;
-        out.records += 1;
-        let kind = v.get("kind").and_then(Json::as_str).unwrap_or("");
-        let name = v
-            .get("name")
-            .and_then(Json::as_str)
-            .unwrap_or("")
-            .to_string();
-        let num = |key: &str| v.get(key).and_then(Json::as_f64).unwrap_or(0.0);
-        match kind {
-            "meta" => {
-                if let Json::Obj(m) = &v {
-                    for (k, field) in m {
-                        if matches!(k.as_str(), "kind" | "name" | "t_us") {
-                            continue;
-                        }
-                        let text = match field {
-                            Json::Str(s) => s.clone(),
-                            Json::Num(n) => json::fmt_f64(*n),
-                            other => format!("{other:?}"),
-                        };
-                        out.meta.insert(k.clone(), text);
-                    }
-                }
-            }
-            "span" => {
-                let dur = num("dur_us") as u64;
-                let selft = num("self_us") as u64;
-                let agg = spans.entry(name.clone()).or_insert_with(|| SpanAgg {
-                    name,
-                    count: 0,
-                    total_us: 0,
-                    self_us: 0,
-                    max_us: 0,
-                });
-                agg.count += 1;
-                agg.total_us += dur;
-                agg.self_us += selft;
-                agg.max_us = agg.max_us.max(dur);
-            }
-            "counter" => {
-                out.counters.insert(name, num("value") as u64);
-            }
-            "hist" => {
-                let buckets = v
-                    .get("buckets")
-                    .and_then(Json::as_arr)
-                    .map(|arr| {
-                        arr.iter()
-                            .filter_map(|pair| {
-                                let p = pair.as_arr()?;
-                                Some((p.first()?.as_f64()? as u64, p.get(1)?.as_f64()? as u64))
-                            })
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                out.hists.insert(
-                    name,
-                    HistAgg {
-                        count: num("count") as u64,
-                        sum: num("sum") as u64,
-                        buckets,
-                    },
-                );
-            }
-            "event" => {
-                let mut fields = BTreeMap::new();
-                if let Json::Obj(m) = &v {
-                    for (k, field) in m {
-                        if matches!(k.as_str(), "kind" | "name" | "t_us" | "tid") {
-                            continue;
-                        }
-                        if let Some(x) = field.as_f64() {
-                            fields.insert(k.clone(), x);
-                        }
-                    }
-                }
-                match series_index.get(&name) {
-                    Some(&idx) => {
-                        let s = &mut out.series[idx];
-                        s.points += 1;
-                        s.last = fields;
-                    }
-                    None => {
-                        series_index.insert(name.clone(), out.series.len());
-                        out.series.push(SeriesAgg {
-                            name,
-                            points: 1,
-                            first: fields.clone(),
-                            last: fields,
-                        });
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
-    out.spans = spans.into_values().collect();
-    out.spans
-        .sort_by(|a, b| b.self_us.cmp(&a.self_us).then(a.name.cmp(&b.name)));
-    Ok(out)
-}
-
-fn fmt_us(us: u64) -> String {
-    if us >= 1_000_000 {
-        format!("{:.2}s", us as f64 / 1e6)
-    } else if us >= 1_000 {
-        format!("{:.2}ms", us as f64 / 1e3)
+fn mean(sum: u64, count: u64) -> f64 {
+    if count == 0 {
+        0.0
     } else {
-        format!("{us}us")
+        sum as f64 / count as f64
     }
 }
 
@@ -243,24 +61,26 @@ fn series_key_line(fields: &BTreeMap<String, f64>) -> String {
         .join(" ")
 }
 
+fn is_convergence(e: &ProfEvent) -> bool {
+    e.name.starts_with("opt.") || e.name.starts_with("design.")
+}
+
 /// Render the human-readable report. `top` caps the span table.
-pub fn render_human(s: &Summary, top: usize) -> String {
+pub fn render_human(p: &Profile, top: usize) -> String {
     let mut out = String::new();
-    out.push_str(&format!("trace: {} records\n", s.records));
-    for (k, v) in &s.meta {
+    out.push_str(&format!("profile: {} records\n", p.records()));
+    for (k, v) in &p.meta {
         out.push_str(&format!("  {k}: {v}\n"));
     }
 
-    if !s.spans.is_empty() {
-        out.push_str(&format!(
-            "\nTop spans by self time (of {}):\n",
-            s.spans.len()
-        ));
+    let spans = spans_by_name(p);
+    if !spans.is_empty() {
+        out.push_str(&format!("\nTop spans by self time (of {}):\n", spans.len()));
         out.push_str(&format!(
             "  {:<28} {:>7} {:>10} {:>10} {:>10}\n",
             "name", "count", "self", "total", "max"
         ));
-        for a in s.spans.iter().take(top) {
+        for a in spans.iter().take(top) {
             out.push_str(&format!(
                 "  {:<28} {:>7} {:>10} {:>10} {:>10}\n",
                 a.name,
@@ -272,60 +92,52 @@ pub fn render_human(s: &Summary, top: usize) -> String {
         }
     }
 
-    if !s.counters.is_empty() {
+    if !p.counters.is_empty() {
         out.push_str("\nCounters:\n");
-        for (name, value) in &s.counters {
+        for (name, value) in &p.counters {
             out.push_str(&format!("  {name:<28} {value}\n"));
         }
     }
 
-    if !s.hists.is_empty() {
-        out.push_str("\nHistograms (log2 buckets):\n");
+    if !p.hists.is_empty() {
+        out.push_str("\nHistograms:\n");
         out.push_str(&format!(
             "  {:<28} {:>7} {:>10} {:>8} {:>8} {:>8}\n",
             "name", "count", "mean", "p50", "p90", "p99"
         ));
-        for (name, h) in &s.hists {
+        for (name, h) in &p.hists {
             out.push_str(&format!(
-                "  {:<28} {:>7} {:>10.1} {:>8} {:>8} {:>8}\n",
+                "  {:<28} {:>7} {:>10.1} {:>8.0} {:>8.0} {:>8.0}\n",
                 name,
                 h.count,
-                h.mean(),
-                h.percentile(0.50),
-                h.percentile(0.90),
-                h.percentile(0.99)
+                mean(h.sum, h.count),
+                h.p50,
+                h.p90,
+                h.p99
             ));
         }
     }
 
-    let opt_series: Vec<&SeriesAgg> = s
-        .series
-        .iter()
-        .filter(|sa| sa.name.starts_with("opt.") || sa.name.starts_with("design."))
-        .collect();
-    if !opt_series.is_empty() {
+    let (convergence, other): (Vec<&ProfEvent>, Vec<&ProfEvent>) =
+        p.events.iter().partition(|e| is_convergence(e));
+    if !convergence.is_empty() {
         out.push_str("\nConvergence (first -> last event):\n");
-        for sa in opt_series {
-            out.push_str(&format!("  {} ({} events)\n", sa.name, sa.points));
-            out.push_str(&format!("    first: {}\n", series_key_line(&sa.first)));
-            if sa.points > 1 {
-                out.push_str(&format!("    last:  {}\n", series_key_line(&sa.last)));
+        for e in convergence {
+            out.push_str(&format!("  {} ({} events)\n", e.name, e.points));
+            out.push_str(&format!("    first: {}\n", series_key_line(&e.first)));
+            if e.points > 1 {
+                out.push_str(&format!("    last:  {}\n", series_key_line(&e.last)));
             }
         }
     }
-    let other: Vec<&SeriesAgg> = s
-        .series
-        .iter()
-        .filter(|sa| !sa.name.starts_with("opt.") && !sa.name.starts_with("design."))
-        .collect();
     if !other.is_empty() {
         out.push_str("\nOther events:\n");
-        for sa in other {
+        for e in other {
             out.push_str(&format!(
                 "  {:<28} {:>7} events; last: {}\n",
-                sa.name,
-                sa.points,
-                series_key_line(&sa.last)
+                e.name,
+                e.points,
+                series_key_line(&e.last)
             ));
         }
     }
@@ -333,157 +145,168 @@ pub fn render_human(s: &Summary, top: usize) -> String {
 }
 
 /// Render the machine-readable report.
-pub fn render_json(s: &Summary) -> String {
+pub fn render_json(p: &Profile) -> String {
     let mut root = JsonObj::new();
-    root.num("records", s.records as f64);
+    root.num("records", p.records() as f64);
 
     let mut meta = JsonObj::new();
-    for (k, v) in &s.meta {
+    for (k, v) in &p.meta {
         meta.str(k, v);
     }
     root.raw("meta", &meta.finish());
 
-    let mut spans = String::from("[");
-    for (i, a) in s.spans.iter().enumerate() {
-        if i > 0 {
-            spans.push(',');
-        }
-        let mut o = JsonObj::new();
-        o.str("name", &a.name);
-        o.num("count", a.count as f64);
-        o.num("total_us", a.total_us as f64);
-        o.num("self_us", a.self_us as f64);
-        o.num("max_us", a.max_us as f64);
-        spans.push_str(&o.finish());
-    }
-    spans.push(']');
-    root.raw("spans", &spans);
+    let spans: Vec<String> = spans_by_name(p)
+        .iter()
+        .map(|a| {
+            let mut o = JsonObj::new();
+            o.str("name", &a.name);
+            o.num("count", a.count as f64);
+            o.num("total_us", a.total_us as f64);
+            o.num("self_us", a.self_us as f64);
+            o.num("max_us", a.max_us as f64);
+            o.finish()
+        })
+        .collect();
+    root.raw("spans", &format!("[{}]", spans.join(",")));
 
     let mut counters = JsonObj::new();
-    for (name, value) in &s.counters {
+    for (name, value) in &p.counters {
         counters.num(name, *value as f64);
     }
     root.raw("counters", &counters.finish());
 
-    let mut hists = String::from("[");
-    for (i, (name, h)) in s.hists.iter().enumerate() {
-        if i > 0 {
-            hists.push(',');
-        }
-        let mut o = JsonObj::new();
-        o.str("name", name);
-        o.num("count", h.count as f64);
-        o.num("sum", h.sum as f64);
-        o.num("mean", h.mean());
-        o.num("p50", h.percentile(0.50) as f64);
-        o.num("p90", h.percentile(0.90) as f64);
-        o.num("p99", h.percentile(0.99) as f64);
-        hists.push_str(&o.finish());
-    }
-    hists.push(']');
-    root.raw("hists", &hists);
+    let hists: Vec<String> = p
+        .hists
+        .iter()
+        .map(|(name, h)| {
+            let mut o = JsonObj::new();
+            o.str("name", name);
+            o.num("count", h.count as f64);
+            o.num("sum", h.sum as f64);
+            o.num("mean", mean(h.sum, h.count));
+            o.num("p50", h.p50);
+            o.num("p90", h.p90);
+            o.num("p99", h.p99);
+            o.finish()
+        })
+        .collect();
+    root.raw("hists", &format!("[{}]", hists.join(",")));
 
-    let mut series = String::from("[");
-    for (i, sa) in s.series.iter().enumerate() {
-        if i > 0 {
-            series.push(',');
-        }
-        let mut o = JsonObj::new();
-        o.str("name", &sa.name);
-        o.num("points", sa.points as f64);
-        let mut first = JsonObj::new();
-        for (k, v) in &sa.first {
-            first.num(k, *v);
-        }
-        o.raw("first", &first.finish());
-        let mut last = JsonObj::new();
-        for (k, v) in &sa.last {
-            last.num(k, *v);
-        }
-        o.raw("last", &last.finish());
-        series.push_str(&o.finish());
-    }
-    series.push(']');
-    root.raw("series", &series);
+    let series: Vec<String> = p
+        .events
+        .iter()
+        .map(|e| {
+            let mut o = JsonObj::new();
+            o.str("name", &e.name);
+            o.num("points", e.points as f64);
+            let mut first = JsonObj::new();
+            for (k, v) in &e.first {
+                first.num(k, *v);
+            }
+            o.raw("first", &first.finish());
+            let mut last = JsonObj::new();
+            for (k, v) in &e.last {
+                last.num(k, *v);
+            }
+            o.raw("last", &last.finish());
+            o.finish()
+        })
+        .collect();
+    root.raw("series", &format!("[{}]", series.join(",")));
     root.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{self, Json};
+    use crate::profile::{ProfHist, ProfNode};
 
-    const SAMPLE: &str = concat!(
-        r#"{"t_us":0,"kind":"meta","name":"run","pid":42,"threads_env":"4"}"#,
-        "\n",
-        r#"{"t_us":5,"kind":"span","name":"design.total","dur_us":1000,"self_us":400,"tid":0}"#,
-        "\n",
-        r#"{"t_us":10,"kind":"span","name":"design.total","dur_us":3000,"self_us":600,"tid":0}"#,
-        "\n",
-        r#"{"t_us":12,"kind":"event","name":"opt.de.gen","tid":0,"gen":0,"best":5.0,"evals":70}"#,
-        "\n",
-        r#"{"t_us":14,"kind":"event","name":"opt.de.gen","tid":0,"gen":9,"best":1.25,"evals":700}"#,
-        "\n",
-        r#"{"t_us":20,"kind":"counter","name":"par.tasks","value":3}"#,
-        "\n",
-        r#"{"t_us":21,"kind":"counter","name":"par.tasks","value":700}"#,
-        "\n",
-        r#"{"t_us":22,"kind":"hist","name":"circuit.dc.iters","count":4,"sum":20,"buckets":[[3,1],[7,3]]}"#,
-        "\n",
-    );
-
-    #[test]
-    fn summarize_aggregates_all_record_kinds() {
-        let s = summarize(SAMPLE).expect("summarize sample");
-        assert_eq!(s.records, 8);
-        assert_eq!(s.meta.get("threads_env").map(String::as_str), Some("4"));
-        assert_eq!(s.spans.len(), 1);
-        assert_eq!(s.spans[0].count, 2);
-        assert_eq!(s.spans[0].total_us, 4000);
-        assert_eq!(s.spans[0].self_us, 1000);
-        assert_eq!(s.spans[0].max_us, 3000);
-        assert_eq!(s.counters.get("par.tasks"), Some(&700));
-        let h = s.hists.get("circuit.dc.iters").expect("hist");
-        assert_eq!(h.count, 4);
-        assert_eq!(h.percentile(0.25), 3);
-        assert_eq!(h.percentile(0.99), 7);
-        assert!((h.mean() - 5.0).abs() < 1e-12);
-        assert_eq!(s.series.len(), 1);
-        assert_eq!(s.series[0].points, 2);
-        assert_eq!(s.series[0].first.get("best"), Some(&5.0));
-        assert_eq!(s.series[0].last.get("best"), Some(&1.25));
+    fn node(path: &str, count: u64, total_us: u64, self_us: u64) -> ProfNode {
+        ProfNode {
+            path: path.to_string(),
+            name: path.rsplit(';').next().unwrap_or(path).to_string(),
+            count,
+            total_us,
+            self_us,
+            max_us: total_us,
+            p50_us: 0.0,
+            p95_us: 0.0,
+        }
     }
 
-    #[test]
-    fn renderers_cover_sample_and_json_parses() {
-        let s = summarize(SAMPLE).expect("summarize sample");
-        let human = render_human(&s, 10);
-        assert!(human.contains("design.total"));
-        assert!(human.contains("opt.de.gen"));
-        assert!(human.contains("par.tasks"));
-        let j = render_json(&s);
-        let v = crate::json::parse(&j).expect("summary json parses");
-        assert_eq!(
-            v.get("records").and_then(crate::json::Json::as_f64),
-            Some(8.0)
+    fn sample() -> Profile {
+        let mut p = Profile::default();
+        p.meta.insert("threads_env".to_string(), "4".to_string());
+        p.nodes = vec![
+            node("design.total", 1, 5000, 1000),
+            node("design.total;circuit.ac.sweep", 4, 4000, 4000),
+            // Same span name reached via a second path.
+            node("other.root;circuit.ac.sweep", 1, 500, 500),
+        ];
+        p.counters.insert("par.tasks".to_string(), 700);
+        p.hists.insert(
+            "circuit.dc.iters".to_string(),
+            ProfHist {
+                count: 4,
+                sum: 20,
+                p50: 5.0,
+                p90: 7.0,
+                p99: 7.0,
+                buckets: vec![(3, 1), (7, 3)],
+                sketch: None,
+            },
         );
+        p.events.push(ProfEvent {
+            name: "opt.de.gen".to_string(),
+            points: 10,
+            first: BTreeMap::from([("best".to_string(), 5.0)]),
+            last: BTreeMap::from([("best".to_string(), 1.25)]),
+        });
+        p
+    }
+
+    #[test]
+    fn spans_merge_same_name_paths_by_self_time() {
+        let spans = spans_by_name(&sample());
+        assert_eq!(spans.len(), 2);
+        assert_eq!(spans[0].name, "circuit.ac.sweep");
+        assert_eq!(spans[0].count, 5);
+        assert_eq!(spans[0].total_us, 4500);
+        assert_eq!(spans[0].self_us, 4500);
+        assert_eq!(spans[0].max_us, 4000);
+        assert_eq!(spans[1].name, "design.total");
+    }
+
+    #[test]
+    fn renderers_cover_every_section_and_json_parses() {
+        let p = sample();
+        let human = render_human(&p, 10);
+        for want in [
+            "profile: 6 records",
+            "threads_env: 4",
+            "design.total",
+            "par.tasks",
+            "circuit.dc.iters",
+            "opt.de.gen (10 events)",
+            "last:  best=1.250000",
+        ] {
+            assert!(human.contains(want), "missing `{want}` in:\n{human}");
+        }
+        let v = json::parse(&render_json(&p)).expect("summary json parses");
+        assert_eq!(v.get("records").and_then(Json::as_f64), Some(6.0));
         assert_eq!(
-            v.get("spans")
-                .and_then(crate::json::Json::as_arr)
-                .map(|a| a.len()),
-            Some(1)
+            v.get("spans").and_then(Json::as_arr).map(|a| a.len()),
+            Some(2)
         );
+        let hist = &v.get("hists").and_then(Json::as_arr).expect("hists")[0];
+        assert_eq!(hist.get("mean").and_then(Json::as_f64), Some(5.0));
+        assert_eq!(hist.get("p99").and_then(Json::as_f64), Some(7.0));
     }
 
     #[test]
-    fn summarize_reports_line_numbers_on_bad_input() {
-        let err = summarize("{}\nnot json\n").expect_err("bad line");
-        assert_eq!(err.line, 2);
-    }
-
-    #[test]
-    fn empty_hist_percentiles_are_zero() {
-        let h = HistAgg::default();
-        assert_eq!(h.percentile(0.5), 0);
-        assert_eq!(h.mean(), 0.0);
+    fn empty_profile_renders_without_sections() {
+        let p = Profile::default();
+        assert_eq!(render_human(&p, 5), "profile: 0 records\n");
     }
 }

@@ -1,6 +1,6 @@
 //! Drive the `rfkit-trace` binary end-to-end over profile fixtures:
 //! the regression gate (`diff`), the profile views (`tree`, `flame`),
-//! and the `--expect-min` floor. These tests never arm tracing — they
+//! the `--expect*` assertions, and rejection of non-profile input. These tests never arm tracing — they
 //! write profile documents directly — so many tests per file are fine.
 
 use std::path::PathBuf;
@@ -147,7 +147,7 @@ fn expect_min_enforces_a_counter_floor_on_profiles() {
 }
 
 #[test]
-fn summarize_auto_detects_profiles_and_honours_expect() {
+fn summarize_honours_expect_on_profiles() {
     let p = write_profile("sum_prof.json", &profile_text(20_000, 10));
     let path = p.to_str().expect("utf8 path");
     let out = trace(&[path, "--expect", "circuit.ac.sweep"]);
@@ -186,4 +186,28 @@ fn diff_rejects_non_profiles_with_usage_exit() {
     ]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("not an aggregate profile"));
+}
+
+#[test]
+fn jsonl_event_stream_is_rejected_as_not_a_profile() {
+    let stream = write_profile(
+        "stream.jsonl",
+        "{\"t_us\":0,\"kind\":\"meta\",\"name\":\"run\",\"pid\":7}\n\
+         {\"t_us\":2,\"kind\":\"span\",\"name\":\"design.total\",\"dur_us\":5}\n",
+    );
+    let path = stream.to_str().expect("utf8 path");
+    for args in [
+        vec![path],
+        vec!["--expect", "design.total", path],
+        vec!["tree", path],
+    ] {
+        let out = trace(&args);
+        assert_eq!(out.status.code(), Some(2), "args {args:?}");
+        assert!(
+            stderr(&out).contains("not an aggregate profile"),
+            "args {args:?}: {}",
+            stderr(&out)
+        );
+        assert!(!stderr(&out).contains("panicked"), "{}", stderr(&out));
+    }
 }

@@ -107,6 +107,6 @@ fn main() {
     println!("\n(prototype papers report exactly this kind of sub-dB agreement)");
     rfkit_obs::flush();
     if let Some(path) = rfkit_obs::trace_path() {
-        println!("trace written to {}", path.display());
+        println!("profile written to {}", path.display());
     }
 }
