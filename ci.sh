@@ -66,6 +66,15 @@ fi
 echo "== cargo build --release"
 cargo build --release || fail=1
 
+echo "== perfbench build (the benchmark compiles against the current API)"
+# perfbench/ is a package of its own that imports workspace items
+# (AcWorkspace, TraceMode, yield_analysis, ...). Building it here makes a
+# deleted or renamed public item fail this gate instead of the benchmark
+# pipeline. The target dir sits under target/, so nothing is written
+# under perfbench/.
+CARGO_TARGET_DIR=target/perfbench cargo build --release --locked -q \
+  --manifest-path perfbench/Cargo.toml || fail=1
+
 echo "== cargo test -q"
 cargo test -q --workspace --release || fail=1
 
@@ -128,13 +137,13 @@ cargo run --release -q -p rfkit-obs --bin rfkit-trace -- diff \
 
 echo "== bench_ac perf smoke (tiny grid, traced)"
 # Runs the AC benchmark on a tiny grid with tracing armed. This proves
-# cheaply that: the fast path stays bit-identical to the legacy path and
-# the batch path stays inside SWEEP_TOL (bench_ac asserts both per grid
-# point before timing); the structure classifier actually picked the
-# bordered kernel for the 50+-node multi-stage workload and the shared
-# plan cache saw hits; the pivot-reuse engine refactored far fewer times
-# than it solved grid points (4 workloads x 16 points vs a bound of 8);
-# the memo-cache counters fire; and results/BENCH_ac.json is written.
+# cheaply that: the batch engine stays inside SWEEP_TOL of the dense
+# reference (bench_ac asserts it per grid point before timing); the
+# structure classifier actually picked the bordered kernel for the
+# 50+-node multi-stage workload and the shared plan cache saw hits; the
+# pivot-reuse engine refactored far fewer times than it solved grid
+# points (4 workloads x 16 points vs a bound of 8); the memo-cache
+# counters fire; and the smoke report is written.
 # Timings on the tiny grid are irrelevant; the full sweep is `bench_ac`
 # with default arguments.
 rm -f results/PROFILE_bench_ac_trace.json results/BENCH_ac_smoke.json \

@@ -1,23 +1,21 @@
-//! BENCH_ac: batched structure-aware AC sweeps vs the legacy per-call
-//! MNA solve.
+//! BENCH_ac: batched structure-aware AC sweeps vs the per-call dense
+//! reference MNA solve.
 //!
 //! Four sweep workloads over the GNSS band — the reference-design
 //! netlist as pure RLC assembly/solve, the small output-match network
 //! the design example verifies, the reference netlist with the
 //! linearized-pHEMT two-port stamps applied, and a 50+-node multi-stage
 //! chain that exercises the bordered-block solve path — each timed
-//! through three engines:
+//! through two engines:
 //!
-//! * `legacy`: per-call `two_port_s` (allocates every matrix every call);
-//! * `fast`: `StampPlan::compile` once + per-point `AcWorkspace` reuse
-//!   (compile time inside the timed region);
+//! * `legacy`: the dense reference, per-call `two_port_s` (allocates
+//!   every matrix every call);
 //! * `batch`: `shared_plan` + `StampPlan::sweep_batch` — the pivot-reuse
 //!   / banded / bordered engine behind the process-wide plan cache
 //!   (cache lookup inside the timed region).
 //!
-//! Before any timing the legacy and fast paths are asserted
-//! **bit-identical** on every grid point, and the batch path is pinned
-//! to legacy within the documented `SWEEP_TOL` contract.
+//! Before any timing the batch engine is pinned to the reference within
+//! the documented `SWEEP_TOL` contract on every grid point.
 //!
 //! Timing uses adaptive best-of repetition (`time_until_stable`): each
 //! region repeats until its minimum stops improving, and the JSON
@@ -42,9 +40,7 @@ use lna::{
     snap_to_catalog, BandSpec, DesignCache, DesignVariables,
 };
 use lna_bench::timing::time_until_stable;
-use rfkit_circuit::{
-    shared_plan, two_port_s, AcStamps, AcWorkspace, Circuit, StampPlan, SWEEP_TOL,
-};
+use rfkit_circuit::{shared_plan, two_port_s, AcStamps, AcWorkspace, Circuit, SWEEP_TOL};
 use rfkit_device::smallsignal::NoiseTemperatures;
 use rfkit_device::Phemt;
 use rfkit_num::linspace;
@@ -113,7 +109,6 @@ const TIMING_TOL: f64 = 0.05;
 struct SweepResult {
     name: &'static str,
     legacy_s: f64,
-    fast_s: f64,
     batch_s: f64,
     points: usize,
     reps_used: usize,
@@ -123,27 +118,20 @@ struct SweepResult {
 }
 
 impl SweepResult {
-    fn speedup(&self) -> f64 {
-        self.legacy_s / self.fast_s
-    }
     fn batch_speedup(&self) -> f64 {
         self.legacy_s / self.batch_s
     }
     fn legacy_us_per_point(&self) -> f64 {
         self.legacy_s / self.points as f64 * 1e6
     }
-    fn fast_us_per_point(&self) -> f64 {
-        self.fast_s / self.points as f64 * 1e6
-    }
     fn batch_us_per_point(&self) -> f64 {
         self.batch_s / self.points as f64 * 1e6
     }
 }
 
-/// Asserts legacy/fast bit-identity and legacy/batch `SWEEP_TOL`
-/// agreement across the whole grid, then times the three engines.
-/// Returns the timings plus the workspace counters of the (untimed)
-/// equivalence sweep as the no-allocation evidence.
+/// Asserts legacy/batch `SWEEP_TOL` agreement across the whole grid, then
+/// times both engines. Returns the timings plus the workspace counters of
+/// the (untimed) equivalence sweep as the no-allocation evidence.
 fn bench_sweep(
     name: &'static str,
     c: &Circuit,
@@ -154,14 +142,8 @@ fn bench_sweep(
     let max_reps = min_reps.saturating_mul(10);
     let plan = shared_plan(c).expect("netlist compiles");
     let mut ws = AcWorkspace::new();
-    for &f in grid {
-        let legacy = two_port_s(c, f, stamps).expect("legacy solves");
-        let fast = plan.two_port_s(f, stamps, &mut ws).expect("fast solves");
-        assert_eq!(legacy, fast, "{name}: paths diverged at {f} Hz");
-    }
-    let (warmups, reuses) = (ws.warmup_count(), ws.reuse_count());
-
     let batch = plan.sweep_batch(grid, stamps, &mut ws);
+    let (warmups, reuses) = (ws.warmup_count(), ws.reuse_count());
     assert!(
         batch.failures().is_empty(),
         "{name}: batch sweep had failures"
@@ -188,18 +170,9 @@ fn bench_sweep(
             black_box(two_port_s(c, f, stamps).expect("legacy solves"));
         }
     });
-    // Compile + workspace construction inside the timed region: the fast
-    // path must win including its one-time setup, not just steady-state.
-    let (fast_s, r2, s2) = time_until_stable(min_reps, max_reps, TIMING_TOL, || {
-        let plan = StampPlan::compile(c).expect("compiles");
-        let mut ws = AcWorkspace::new();
-        for &f in grid {
-            black_box(plan.two_port_s(f, stamps, &mut ws).expect("fast solves"));
-        }
-    });
     // Batch path: shared-plan lookup inside the timed region (a cache hit
     // after the equivalence sweep above), then one batched call.
-    let (batch_s, r3, s3) = time_until_stable(min_reps, max_reps, TIMING_TOL, || {
+    let (batch_s, r2, s2) = time_until_stable(min_reps, max_reps, TIMING_TOL, || {
         let plan = shared_plan(c).expect("cached plan");
         let mut ws = AcWorkspace::new();
         black_box(plan.sweep_batch(grid, stamps, &mut ws));
@@ -207,20 +180,17 @@ fn bench_sweep(
     let r = SweepResult {
         name,
         legacy_s,
-        fast_s,
         batch_s,
         points: grid.len(),
-        reps_used: r1.max(r2).max(r3),
-        stable: s1 && s2 && s3,
+        reps_used: r1.max(r2),
+        stable: s1 && s2,
         path,
         refactors,
     };
     println!(
-        "{:>24}: legacy {:>9.1} us/pt | fast {:>8.1} us/pt ({:.2}x) | batch {:>8.1} us/pt ({:.2}x, {}, {} refactor(s))",
+        "{:>24}: legacy {:>9.1} us/pt | batch {:>8.1} us/pt ({:.2}x, {}, {} refactor(s))",
         r.name,
         r.legacy_us_per_point(),
-        r.fast_us_per_point(),
-        r.speedup(),
         r.batch_us_per_point(),
         r.batch_speedup(),
         r.path,
@@ -393,21 +363,15 @@ fn to_json(
         out.push_str(&format!("      \"path\": \"{}\",\n", s.path));
         out.push_str(&format!("      \"refactors\": {},\n", s.refactors));
         out.push_str(&format!("      \"legacy_s\": {:e},\n", s.legacy_s));
-        out.push_str(&format!("      \"fast_s\": {:e},\n", s.fast_s));
         out.push_str(&format!("      \"batch_s\": {:e},\n", s.batch_s));
         out.push_str(&format!(
             "      \"legacy_per_point_us\": {:.3},\n",
             s.legacy_us_per_point()
         ));
         out.push_str(&format!(
-            "      \"fast_per_point_us\": {:.3},\n",
-            s.fast_us_per_point()
-        ));
-        out.push_str(&format!(
             "      \"batch_per_point_us\": {:.3},\n",
             s.batch_us_per_point()
         ));
-        out.push_str(&format!("      \"speedup\": {:.3},\n", s.speedup()));
         out.push_str(&format!(
             "      \"batch_speedup\": {:.3}\n",
             s.batch_speedup()
@@ -478,7 +442,8 @@ fn main() {
     let (gate, drain) = (c.node("gate"), c.node("drain"));
     let grid = linspace(1.1e9, 1.7e9, points);
 
-    // Workload 1: pure RLC assembly + solve (the cost the fast path owns).
+    // Workload 1: pure RLC assembly + solve (the cost the compiled plan
+    // owns).
     let (rlc, warmups, reuses) =
         bench_sweep("rlc_assembly_solve", &c, &AcStamps::none(), &grid, min_reps);
     assert_eq!(

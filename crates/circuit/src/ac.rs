@@ -5,18 +5,22 @@
 //! two-port before AC analysis; [`AcStamps`] carries those extra Y-stamped
 //! two-ports (e.g. a [`rfkit_device::SmallSignalDevice`] evaluated at the
 //! DC operating point).
+//!
+//! [`s_matrix`] and [`two_port_s`] are the **dense reference**: one
+//! allocating, fully pivoted solve per call, written for clarity rather
+//! than speed. Production sweeps go through the compiled engine,
+//! [`StampPlan::sweep_batch`](crate::StampPlan::sweep_batch); the
+//! equivalence suites compare that engine against this reference (exact
+//! bits on freshly factored dense points, [`SWEEP_TOL`](crate::SWEEP_TOL)
+//! elsewhere, and point-for-point `Err` and fault parity).
 
 use crate::netlist::{Circuit, Element};
 use rfkit_net::{NPort, SParams, YParams};
 use rfkit_num::units::angular;
 use rfkit_num::{CMatrix, Complex};
 
-// Per-frequency solve timing (runtime-gated, write-only; see rfkit-obs).
-// Shared with the compiled fast path in `plan` so both record under one name.
-pub(crate) static OBS_AC_SOLVE_US: rfkit_obs::Hist = rfkit_obs::Hist::new("circuit.ac.solve_us");
-
-/// An AC short for DC voltage sources (both analysis paths must stamp the
-/// exact same conductance to stay bit-identical).
+/// An AC short for DC voltage sources (the reference and the compiled plan
+/// must stamp the exact same conductance to stay bit-identical).
 pub(crate) const SHORT_SIEMENS: f64 = 1e7;
 
 /// Stamps a two-terminal admittance between nodes `a` and `b` (`None` =
@@ -35,7 +39,7 @@ pub(crate) fn stamp_admittance(y: &mut CMatrix, a: Option<usize>, b: Option<usiz
 }
 
 /// Applies every extra stamped two-port in `stamps` at `freq_hz`. Shared
-/// between the legacy path and the compiled fast path.
+/// between the dense reference and the compiled plan.
 pub(crate) fn apply_two_port_stamps(y: &mut CMatrix, stamps: &AcStamps<'_>, freq_hz: f64) {
     for (a, b, y_of) in &stamps.stamps {
         let yp = y_of(freq_hz);
@@ -122,7 +126,8 @@ impl std::fmt::Display for AcError {
 
 impl std::error::Error for AcError {}
 
-/// Computes the N-port S-matrix of the circuit at `freq_hz`.
+/// Computes the N-port S-matrix of the circuit at `freq_hz` — the dense
+/// reference solve (see the [module docs](self)).
 ///
 /// FET elements are ignored (stamp their linearization via `stamps`);
 /// DC sources are AC shorts (V) and opens (I) respectively — a V source
@@ -139,12 +144,11 @@ pub fn s_matrix(circuit: &Circuit, freq_hz: f64, stamps: &AcStamps<'_>) -> Resul
         return Err(AcError::NonPositiveFrequency(freq_hz));
     }
     // Deterministic fault hook, keyed by the frequency's bit pattern so an
-    // armed plan fails the legacy and compiled paths identically at the
-    // same grid points. Compiles out without `rfkit-faults`.
+    // armed plan fails the reference and the sweep engine identically at
+    // the same grid points. Compiles out without `rfkit-faults`.
     if rfkit_robust::faults::inject("ac.solve", freq_hz.to_bits()).is_some() {
         return Err(AcError::Singular(freq_hz));
     }
-    let watch = rfkit_obs::stopwatch();
     let n = circuit.n_nodes();
     let w = angular(freq_hz);
     let mut y = CMatrix::zeros(n, n);
@@ -196,14 +200,11 @@ pub fn s_matrix(circuit: &Circuit, freq_hz: f64, stamps: &AcStamps<'_>) -> Resul
         .inverse()
         .map_err(|_| AcError::Singular(freq_hz))?;
     let s = (&id - &yz).matmul(&den).expect("dimensions chain");
-    if let Some(us) = watch.elapsed_us() {
-        OBS_AC_SOLVE_US.record(us);
-    }
     Ok(NPort::new(s, z0))
 }
 
-/// Convenience: the 2-port S-parameters of a circuit with exactly two
-/// declared ports.
+/// The 2-port view of the dense reference [`s_matrix`], for a circuit
+/// with exactly two declared ports.
 ///
 /// # Errors
 ///

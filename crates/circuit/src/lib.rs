@@ -7,7 +7,11 @@
 //! * DC operating-point analysis by damped Newton–Raphson on the MNA
 //!   equations ([`dc`]);
 //! * AC S-parameter analysis with internal-node elimination and external
-//!   linearized-device stamps ([`ac`]);
+//!   linearized-device stamps, through one engine: a netlist compiled
+//!   once into a [`StampPlan`] ([`plan`]) and swept over a frequency grid
+//!   by [`StampPlan::sweep_batch`] ([`sweep`]), with a shared plan cache;
+//!   [`s_matrix`] / [`two_port_s`] ([`ac`]) are the dense reference that
+//!   the equivalence tests check the engine against;
 //! * two-tone third-order intermodulation analysis, by power series and by
 //!   full nonlinear time-domain simulation + FFT ([`twotone`]);
 //! * single-tone harmonic balance with arbitrary per-harmonic loads —

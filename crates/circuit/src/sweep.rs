@@ -1,10 +1,11 @@
 //! Batched, structure-aware AC sweep engine.
 //!
-//! [`StampPlan`](crate::StampPlan) solves one frequency point per call;
-//! every caller in the suite (band verification, yield Monte-Carlo,
-//! benchmark sweeps) actually wants a whole *grid*. This module adds the
-//! grid-level entry point [`StampPlan::sweep_batch`] plus the two pieces
-//! of machinery that make it fast:
+//! The one production AC solve path. Every caller in the suite (band
+//! verification, yield Monte-Carlo, served `verify` requests, benchmark
+//! sweeps) wants a whole frequency *grid*, so a compiled
+//! [`StampPlan`](crate::StampPlan) is solved only through the grid-level
+//! entry point [`StampPlan::sweep_batch`]; a single frequency is a
+//! 1-point batch. Two pieces of machinery make it fast:
 //!
 //! * **Structure classification.** At compile time the plan's internal
 //!   (non-port) block is classified from its stamp adjacency. Ladder
@@ -26,17 +27,21 @@
 //!
 //! ## Equivalence contract
 //!
-//! The per-point plan path stays bit-identical to the legacy path (see
-//! [`plan`](crate::plan)). `sweep_batch` trades that for speed under a
-//! **documented tolerance contract**: every S-matrix entry it produces
-//! agrees with the legacy per-point result to within `1e-8` absolute
+//! The oracle is the dense reference
+//! [`ac::s_matrix`](crate::ac::s_matrix). A dense-path point that is
+//! factored afresh — every 1-point batch — matches it bit for bit (see
+//! [`plan`](crate::plan)). Pivot reuse and the structured kernels trade
+//! that for speed under a **documented tolerance contract**: every
+//! S-matrix entry agrees with the reference to within `1e-8` absolute
 //! error (see [`SWEEP_TOL`]), and `Err` outcomes (singular systems,
 //! non-positive frequencies, injected faults) are point-for-point
 //! identical. The banded/bordered kernels and the pivot-reuse dense path
 //! all refuse numerically risky factorizations (growth guard) and fall
 //! back to fully pivoted dense LU, so the bound holds on pathological
 //! grids too — at dense-path cost. `tests/fastpath_equivalence.rs` pins
-//! the contract with seeded random netlists.
+//! the contract with seeded random netlists, and the top-level
+//! `tests/circuit_vs_cascade.rs` checks the engine against closed-form
+//! ABCD cascades directly.
 //!
 //! ## Plan sharing
 //!
@@ -67,8 +72,8 @@ static OBS_SWEEP_US: rfkit_obs::Hist = rfkit_obs::Hist::new("circuit.ac.sweep_us
 static OBS_PLAN_HIT: rfkit_obs::Counter = rfkit_obs::Counter::new("plan.cache.hit");
 static OBS_PLAN_MISS: rfkit_obs::Counter = rfkit_obs::Counter::new("plan.cache.miss");
 
-/// Absolute per-entry tolerance of the batched sweep against the legacy
-/// per-point path. S-parameters are bounded by ~1 in magnitude for
+/// Absolute per-entry tolerance of the batched sweep against the dense
+/// reference [`crate::ac::s_matrix`]. S-parameters are bounded by ~1 in magnitude for
 /// passive networks and stay O(1) for the amplifier stamps the suite
 /// uses, so an absolute bound is meaningful; the structured kernels'
 /// growth guards keep element growth (and therefore backward error) far
@@ -418,10 +423,10 @@ impl StampPlan {
     ///
     /// Per-point errors (non-positive frequency, singular system,
     /// injected fault) do not abort the sweep; they are recorded in
-    /// [`SweepBatch::failures`] with the same `AcError` values the
-    /// per-point path produces, and the corresponding grid entries hold
-    /// zeros. Results agree with [`StampPlan::s_matrix`] within
-    /// [`SWEEP_TOL`] per entry.
+    /// [`SweepBatch::failures`] with the same `AcError` values the dense
+    /// reference produces, and the corresponding grid entries hold zeros.
+    /// Results agree with [`crate::ac::s_matrix`] within [`SWEEP_TOL`] per
+    /// entry, and bit for bit on a 1-point dense-path batch.
     pub fn sweep_batch(
         &self,
         freqs: &[f64],
@@ -531,7 +536,7 @@ impl StampPlan {
         if freq_hz <= 0.0 {
             return Err(AcError::NonPositiveFrequency(freq_hz));
         }
-        // Same fault site and key as both per-point paths: an armed plan
+        // Same fault site and key as the dense reference: an armed plan
         // fails the batch at exactly the same grid points.
         if rfkit_robust::faults::inject("ac.solve", freq_hz.to_bits()).is_some() {
             return Err(AcError::Singular(freq_hz));

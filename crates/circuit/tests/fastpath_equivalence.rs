@@ -1,9 +1,11 @@
-//! Equivalence suite for the compiled AC fast path: [`StampPlan`] +
-//! [`AcWorkspace`] must return **bit-identical** results to the legacy
-//! per-call path — same S-parameters, same errors — across the reference
-//! design topology, the linearized-pHEMT stamp case and seeded random RLC
-//! netlists. `assert_eq!` on [`SParams`]/[`NPort`] compares exact floating
-//! bits, not tolerances.
+//! Equivalence suite for the AC sweep engine, [`StampPlan::sweep_batch`],
+//! against the dense reference [`s_matrix`] / [`two_port_s`]. On the
+//! dense path a 1-point batch must return **bit-identical** results —
+//! same S-parameters, same errors — across the reference design
+//! topology, the linearized-pHEMT stamp case and seeded random RLC
+//! netlists; `assert_eq!` on `SParams` and S entries compares exact
+//! floating bits, not tolerances. The banded and bordered paths stay
+//! within [`SWEEP_TOL`] with point-for-point `Err` and fault parity.
 //!
 //! Every test holds [`SERIAL`] for its whole body: with `rfkit-faults`
 //! on, the fault-parity test arms a process-wide plan that would fail
@@ -51,11 +53,12 @@ fn reference_design_sweep_is_bit_identical() {
     let mut ws = AcWorkspace::new();
     for &f in linspace(1.1e9, 1.7e9, 31).iter() {
         let legacy = two_port_s(&c, f, &AcStamps::none()).unwrap();
-        let fast = plan.two_port_s(f, &AcStamps::none(), &mut ws).unwrap();
-        assert_eq!(legacy, fast, "bit mismatch at {f} Hz");
+        let batch = plan.sweep_batch(&[f], &AcStamps::none(), &mut ws);
+        assert_eq!(batch.stats().path, "dense");
+        assert_eq!(legacy, batch.two_port(0).unwrap(), "bit mismatch at {f} Hz");
     }
     // One topology, one warm-up: the remaining 30 points reused buffers,
-    // i.e. the sweep performed no per-frequency matrix allocations.
+    // i.e. the batches performed no per-frequency matrix allocations.
     assert_eq!(ws.warmup_count(), 1);
     assert_eq!(ws.reuse_count(), 30);
 }
@@ -84,8 +87,9 @@ fn phemt_stamp_case_is_bit_identical() {
     let mut ws = AcWorkspace::new();
     for &f in linspace(0.9e9, 2.1e9, 13).iter() {
         let legacy = two_port_s(&c, f, &stamps).unwrap();
-        let fast = plan.two_port_s(f, &stamps, &mut ws).unwrap();
-        assert_eq!(legacy, fast, "bit mismatch at {f} Hz");
+        let batch = plan.sweep_batch(&[f], &stamps, &mut ws);
+        assert_eq!(batch.stats().path, "dense");
+        assert_eq!(legacy, batch.two_port(0).unwrap(), "bit mismatch at {f} Hz");
     }
 }
 
@@ -138,14 +142,28 @@ fn random_rlc_netlists_are_bit_identical_including_errors() {
         let plan = StampPlan::compile(&c).unwrap();
         let mut ws = AcWorkspace::new();
         for &f in &[0.35e9, 1.3e9, 2.8e9] {
-            let legacy = s_matrix(&c, f, &AcStamps::none());
-            let fast = plan.s_matrix(f, &AcStamps::none(), &mut ws);
-            match (legacy, fast) {
-                (Ok(l), Ok(r)) => {
-                    assert_eq!(l, r, "case {case}: bit mismatch at {f} Hz");
+            let batch = plan.sweep_batch(&[f], &AcStamps::none(), &mut ws);
+            assert_eq!(batch.stats().path, "dense", "case {case}");
+            match s_matrix(&c, f, &AcStamps::none()) {
+                Ok(l) => {
+                    assert!(batch.is_ok(0), "case {case}: spurious failure at {f} Hz");
+                    assert_eq!(batch.n_ports(), l.n_ports());
+                    for i in 0..l.n_ports() {
+                        for j in 0..l.n_ports() {
+                            assert_eq!(
+                                l.s(i, j).unwrap(),
+                                batch.s(0, i, j),
+                                "case {case}: bit mismatch in S{i}{j} at {f} Hz"
+                            );
+                        }
+                    }
                     solved += 1;
                 }
-                (l, r) => assert_eq!(l, r, "case {case}: error parity at {f} Hz"),
+                Err(e) => assert_eq!(
+                    batch.failures(),
+                    [(0, e)],
+                    "case {case}: error parity at {f} Hz"
+                ),
             }
         }
     }
@@ -167,21 +185,21 @@ fn singular_and_degenerate_inputs_match_legacy() {
     let plan = StampPlan::compile(&c).unwrap();
     let mut ws = AcWorkspace::new();
     let f = 1.575e9;
-    let legacy = s_matrix(&c, f, &AcStamps::none());
-    let fast = plan.s_matrix(f, &AcStamps::none(), &mut ws);
-    assert_eq!(legacy, fast);
-    assert_eq!(legacy.unwrap_err(), AcError::Singular(f));
+    let legacy = s_matrix(&c, f, &AcStamps::none()).unwrap_err();
+    assert_eq!(legacy, AcError::Singular(f));
+    let batch = plan.sweep_batch(&[f], &AcStamps::none(), &mut ws);
+    assert_eq!(batch.failures(), [(0, legacy)]);
 
-    // Non-positive frequency: the fast path reports the same error the
-    // legacy path does (regression for the old assert!-panic).
+    // Non-positive frequency: the engine reports the same error the
+    // reference does (regression for the old assert!-panic).
     let good = reference_design_circuit();
     let good_plan = StampPlan::compile(&good).unwrap();
     for bad_f in [0.0, -2.4e9] {
         assert_eq!(
             good_plan
-                .two_port_s(bad_f, &AcStamps::none(), &mut ws)
-                .unwrap_err(),
-            AcError::NonPositiveFrequency(bad_f)
+                .sweep_batch(&[bad_f], &AcStamps::none(), &mut ws)
+                .failures(),
+            [(0, AcError::NonPositiveFrequency(bad_f))]
         );
         assert_eq!(
             two_port_s(&good, bad_f, &AcStamps::none()).unwrap_err(),
@@ -343,7 +361,7 @@ fn fault_injection_parity_across_solve_paths() {
 fn workspace_survives_topology_changes() {
     let _serial = serial();
     // Sharing one workspace across plans of different sizes re-warms but
-    // stays bit-identical.
+    // stays bit-identical (1-point batches on the dense path).
     let small = {
         let mut c = Circuit::new();
         c.resistor("in", "out", 50.0)
@@ -356,24 +374,19 @@ fn workspace_survives_topology_changes() {
     let plan_big = StampPlan::compile(&big).unwrap();
     let mut ws = AcWorkspace::new();
     for _ in 0..3 {
-        // One two-point sweep per plan before switching topology.
-        for f in [1.2e9, 1.5e9] {
-            assert_eq!(
-                plan_small
-                    .two_port_s(f, &AcStamps::none(), &mut ws)
-                    .unwrap(),
-                two_port_s(&small, f, &AcStamps::none()).unwrap()
-            );
-        }
-        for f in [1.2e9, 1.5e9] {
-            assert_eq!(
-                plan_big.two_port_s(f, &AcStamps::none(), &mut ws).unwrap(),
-                two_port_s(&big, f, &AcStamps::none()).unwrap()
-            );
+        // Two points per plan before switching topology.
+        for (plan, c) in [(&plan_small, &small), (&plan_big, &big)] {
+            for f in [1.2e9, 1.5e9] {
+                let batch = plan.sweep_batch(&[f], &AcStamps::none(), &mut ws);
+                assert_eq!(
+                    batch.two_port(0).unwrap(),
+                    two_port_s(c, f, &AcStamps::none()).unwrap()
+                );
+            }
         }
     }
-    // Each small->big or big->small switch re-warms; the second point of
-    // every two-point sweep reuses.
+    // Each small->big or big->small switch re-warms; the second point on
+    // every plan reuses.
     assert_eq!(ws.warmup_count() + ws.reuse_count(), 12);
     assert_eq!(ws.warmup_count(), 6);
 }

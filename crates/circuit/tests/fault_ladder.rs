@@ -248,7 +248,7 @@ fn seeded_fault_subsets_replay_bit_identically() {
 }
 
 #[test]
-fn ac_hook_fails_legacy_and_compiled_paths_identically() {
+fn ac_hook_fails_reference_and_sweep_engine_identically() {
     let _serial = serial();
     let c = rlc_two_port();
     let plan = StampPlan::compile(&c).expect("compilable");
@@ -262,24 +262,24 @@ fn ac_hook_fails_legacy_and_compiled_paths_identically() {
             &[f_bad.to_bits()],
         ));
         // Both paths share the site and the frequency-bits key, so the
-        // fast-path equivalence contract holds under fault injection too.
+        // engine's equivalence contract holds under fault injection too.
         assert_eq!(
             s_matrix(&c, f_bad, &AcStamps::none()).unwrap_err(),
             AcError::Singular(f_bad)
         );
-        assert_eq!(
-            plan.two_port_s(f_bad, &AcStamps::none(), &mut ws)
-                .unwrap_err(),
-            AcError::Singular(f_bad)
-        );
-        // Untargeted frequencies sail through with identical bits.
+        let batch = plan.sweep_batch(&[f_bad, f_good], &AcStamps::none(), &mut ws);
+        assert_eq!(batch.failures(), [(0, AcError::Singular(f_bad))]);
+        // The untargeted point sails through with identical bits: the
+        // faulted point fails before factoring, so the good point is the
+        // batch's first (fresh) dense factorization.
         let legacy = rfkit_circuit::two_port_s(&c, f_good, &AcStamps::none()).unwrap();
-        let fast = plan.two_port_s(f_good, &AcStamps::none(), &mut ws).unwrap();
-        assert_eq!(legacy, fast);
+        assert_eq!(batch.two_port(1).unwrap(), legacy);
         assert_eq!(faults::fired("ac.solve"), 2);
     }
-    // Cleared: the poisoned frequency works again.
+    // Cleared: the poisoned frequency works again on both paths.
     assert!(s_matrix(&c, f_bad, &AcStamps::none()).is_ok());
+    let batch = plan.sweep_batch(&[f_bad], &AcStamps::none(), &mut ws);
+    assert!(batch.failures().is_empty());
 }
 
 #[test]

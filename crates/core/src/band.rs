@@ -8,7 +8,7 @@
 
 use crate::amplifier::{Amplifier, PointMetrics};
 use rfkit_num::linspace;
-use rfkit_par::par_map;
+use rfkit_par::par_map_indexed;
 use rfkit_robust::{faults, DegradePolicy, PointDiagnostic};
 use std::sync::OnceLock;
 
@@ -243,11 +243,12 @@ impl BandMetrics {
         // evaluation allocates no frequency grids.
         let n_in_band = band.n_points();
         let freqs = band.combined_grid();
-        // Fault hook, keyed by the frequency's bit pattern — data-derived,
-        // so an armed plan fires at the same grid points regardless of how
-        // rfkit-par chunks the sweep across threads.
-        let points: Vec<Option<PointMetrics>> = par_map(freqs, |&f| {
-            if faults::inject("band.point", f.to_bits()).is_some() {
+        // Fault hook, keyed by the point's index in the combined grid — a
+        // grid identity, so an armed plan fires at the same points however
+        // rfkit-par chunks the sweep, and a frequency shared by the in-band
+        // and stability grids (1.4 GHz in the GNSS band) stays two points.
+        let points: Vec<Option<PointMetrics>> = par_map_indexed(freqs, |i, &f| {
+            if faults::inject("band.point", i as u64).is_some() {
                 return None;
             }
             amp.metrics(f)

@@ -37,13 +37,10 @@ fn nominal() -> DesignVariables {
     }
 }
 
-/// Kills `keys` on the band-point site: one in-band frequency and one
-/// stability-grid frequency by default.
-fn band_fault(band: &BandSpec, indices: &[usize]) -> FaultPlan {
-    let keys: Vec<u64> = indices
-        .iter()
-        .map(|&i| band.combined_grid()[i].to_bits())
-        .collect();
+/// Kills the band-point site at `indices` of the combined (in-band then
+/// stability) grid — the keys the evaluation uses.
+fn band_fault(indices: &[usize]) -> FaultPlan {
+    let keys: Vec<u64> = indices.iter().map(|&i| i as u64).collect();
     FaultPlan::new().fail_keys("band.point", FaultKind::PointFailure, &keys)
 }
 
@@ -58,7 +55,7 @@ fn k_injected_points_degrade_with_exactly_k_diagnostics_at_any_thread_count() {
     let policy = DegradePolicy::lenient(0.5);
     let bad = [1usize, 9]; // one in-band point, one stability point
     let run = || {
-        let _g = faults::scoped(band_fault(&band, &bad));
+        let _g = faults::scoped(band_fault(&bad));
         BandMetrics::evaluate_robust(&amp, &band, &policy)
     };
 
@@ -98,12 +95,32 @@ fn k_injected_points_degrade_with_exactly_k_diagnostics_at_any_thread_count() {
 }
 
 #[test]
+fn shared_frequency_faults_only_the_injected_grid_point() {
+    let _serial = serial();
+    // 1.4 GHz sits at in-band index 3 of the GNSS grid and again in the
+    // stability grid (combined index 10). Faults key on grid identity, so
+    // killing index 3 fails that point alone.
+    let device = Phemt::atf54143_like();
+    let band = BandSpec::gnss();
+    let amp = Amplifier::new(&device, nominal());
+    let combined = band.combined_grid();
+    assert_eq!(combined[3], 1.4e9);
+    assert_eq!(combined[10], 1.4e9);
+    let _g = faults::scoped(band_fault(&[3]));
+    let outcome = BandMetrics::evaluate_robust(&amp, &band, &DegradePolicy::lenient(0.5));
+    let diagnostics = outcome.diagnostics();
+    assert_eq!(diagnostics.len(), 1, "one key, one point: {diagnostics:?}");
+    assert_eq!(diagnostics[0].index, 3);
+    assert_eq!(diagnostics[0].at, 1.4e9);
+}
+
+#[test]
 fn strict_policy_fails_a_partial_instead_of_degrading() {
     let _serial = serial();
     let device = Phemt::atf54143_like();
     let band = BandSpec::gnss();
     let amp = Amplifier::new(&device, nominal());
-    let _g = faults::scoped(band_fault(&band, &[0]));
+    let _g = faults::scoped(band_fault(&[0]));
     // Strict: one bad point voids the sweep (Failed, not Infeasible — the
     // bias is fine, this is transient trouble, and the diagnostics say so).
     match BandMetrics::evaluate_robust(&amp, &band, &DegradePolicy::strict()) {
@@ -147,7 +164,7 @@ fn cache_never_stores_a_transiently_faulted_result() {
     let cache = DesignCache::new(16);
     let policy = DegradePolicy::lenient(0.5);
     {
-        let _g = faults::scoped(band_fault(&band, &[1, 9]));
+        let _g = faults::scoped(band_fault(&[1, 9]));
         let first = cache.evaluate_with(&device, nominal(), &band, &policy);
         assert!(matches!(first, BandOutcome::Degraded { .. }));
         assert_eq!(cache.len(), 0, "degraded result must not be cached");

@@ -17,7 +17,7 @@ fn sphere(x: &[f64]) -> f64 {
 #[test]
 fn tiny_budgets_terminate_cleanly_and_emit_truncation_events() {
     let trace = std::env::temp_dir().join(format!(
-        "rfkit_early_termination_{}.jsonl",
+        "rfkit_early_termination_{}.json",
         std::process::id()
     ));
     rfkit_obs::init(&rfkit_obs::TraceConfig {

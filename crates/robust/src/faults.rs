@@ -3,10 +3,11 @@
 //! A [`FaultPlan`] names *call sites* (string identifiers like
 //! `"dc.newton.plain"` or `"band.point"`) and, per site, the *keys* at
 //! which a fault fires. Keys are data-derived by the instrumented code —
-//! the Newton iteration number, the frequency's bit pattern, the yield
-//! unit index — never a global invocation counter, so an armed plan
-//! triggers at the same logical place at any thread count and the
-//! repo's bit-identical determinism contract survives fault testing.
+//! the Newton iteration number, the frequency's bit pattern, a band
+//! grid-point or yield-unit index — never a global invocation counter,
+//! so an armed plan triggers at the same logical place at any thread
+//! count and the repo's bit-identical determinism contract survives
+//! fault testing.
 //!
 //! The runtime half (arming, firing, bookkeeping) only exists under the
 //! `rfkit-faults` feature; without it [`inject`] is an `#[inline(always)]`

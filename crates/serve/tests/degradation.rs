@@ -4,12 +4,23 @@
 //! excluded from the shared design cache, so a later request outside the
 //! fault window gets clean metrics instead of a poisoned memo.
 //!
+//! Each test holds [`SERIAL`] for its whole body: fault keys are grid
+//! indices, which every band shares, so one test's armed plan would fail
+//! the other's requests outside its own fault window.
+//!
 //! Compiled only with `--features rfkit-faults`.
 #![cfg(feature = "rfkit-faults")]
 
 use lna::{snap_to_catalog, BandSpec, DesignVariables};
 use rfkit_robust::faults::{self, FaultKind, FaultPlan};
 use rfkit_serve::{client, Client, ServeConfig, Server};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn nominal() -> DesignVariables {
     snap_to_catalog(DesignVariables {
@@ -25,6 +36,7 @@ fn nominal() -> DesignVariables {
 
 #[test]
 fn served_sweep_degrades_with_grid_ordered_diagnostics_and_no_cache_poison() {
+    let _serial = serial();
     let server = Server::start(ServeConfig {
         workers: 2,
         queue_capacity: 16,
@@ -33,12 +45,15 @@ fn served_sweep_degrades_with_grid_ordered_diagnostics_and_no_cache_poison() {
     .expect("server starts");
     let mut c = Client::connect(server.local_addr()).unwrap();
 
-    // Kill two in-band points of the requested band by their exact
-    // frequency bits — the same data-derived keys the evaluation uses.
+    // Kill two in-band points of the requested band by their combined-grid
+    // index — the same grid-identity keys the evaluation uses. Index 4 is
+    // exactly 1.4 GHz, which the out-of-band stability grid repeats; only
+    // the in-band point may fail.
     let band = (1.15e9, 1.65e9, 9usize);
     let spec = BandSpec::new(band.0, band.1, band.2);
-    let bad = [2usize, 6];
-    let keys: Vec<u64> = bad.iter().map(|&i| spec.grid()[i].to_bits()).collect();
+    let bad = [2usize, 4];
+    assert_eq!(spec.grid()[4], 1.4e9);
+    let keys: Vec<u64> = bad.iter().map(|&i| i as u64).collect();
     let vars = nominal();
 
     let degraded_raw = {
@@ -102,14 +117,15 @@ fn served_sweep_degrades_with_grid_ordered_diagnostics_and_no_cache_poison() {
 
 #[test]
 fn strict_policy_maps_to_failed_with_diagnostics() {
+    let _serial = serial();
     let server = Server::start(ServeConfig::default()).unwrap();
     let mut c = Client::connect(server.local_addr()).unwrap();
     let band = (1.2e9, 1.6e9, 7usize);
     let spec = BandSpec::new(band.0, band.1, band.2);
-    // Index 2 (1.333 GHz) does not collide with the out-of-band
-    // stability grid; index 3 would be exactly 1.4 GHz, which appears
-    // there too and would fire the bit-keyed fault at both points.
-    let keys = [spec.grid()[2].to_bits()];
+    // Index 3 is exactly 1.4 GHz, which the out-of-band stability grid
+    // repeats; the index key fails the in-band point alone.
+    assert_eq!(spec.grid()[3], 1.4e9);
+    let keys = [3];
     let vars = nominal();
     {
         let _g = faults::scoped(FaultPlan::new().fail_keys(
@@ -123,7 +139,7 @@ fn strict_policy_maps_to_failed_with_diagnostics() {
             .unwrap();
         assert_eq!(r.status, "failed");
         assert_eq!(r.diagnostics.len(), 1);
-        assert_eq!(r.diagnostics[0].index, 2);
+        assert_eq!(r.diagnostics[0].index, 3);
     }
     let r = c
         .call(&client::sweep_json(2, &vars, Some(band), None))

@@ -82,10 +82,8 @@ fn main() {
         },
     );
     {
-        let keys = [
-            band.combined_grid()[1].to_bits(),
-            band.combined_grid()[9].to_bits(),
-        ];
+        // Keys are combined-grid indices: in-band point 1, stability point 9.
+        let keys = [1, 9];
         let _g = faults::scoped(FaultPlan::new().fail_keys(
             "band.point",
             FaultKind::PointFailure,

@@ -1,7 +1,11 @@
 //! The two analysis paths — netlist MNA (rfkit-circuit) and analytic ABCD
-//! cascade (rfkit-net) — must agree wherever both apply.
+//! cascade (rfkit-net) — must agree wherever both apply. Each case checks
+//! both MNA solvers against the closed form: the dense reference
+//! `two_port_s` and the production sweep engine `StampPlan::sweep_batch`,
+//! so the engine meets an independent oracle directly and not only
+//! through the reference.
 
-use rfkit_circuit::{two_port_s, AcStamps, Circuit};
+use rfkit_circuit::{two_port_s, AcStamps, AcWorkspace, Circuit, StampPlan};
 use rfkit_device::smallsignal::NoiseTemperatures;
 use rfkit_device::Phemt;
 use rfkit_net::Abcd;
@@ -19,21 +23,27 @@ fn matching_ladder_agrees_between_solvers() {
         .capacitor("mid", "out", c_se)
         .port("in", 50.0)
         .port("out", 50.0);
-    for f in [0.8e9, 1.4e9, 2.5e9] {
+    let freqs = [0.8e9, 1.4e9, 2.5e9];
+    let plan = StampPlan::compile(&circuit).unwrap();
+    let batch = plan.sweep_batch(&freqs, &AcStamps::none(), &mut AcWorkspace::new());
+    for (p, &f) in freqs.iter().enumerate() {
         let w = angular(f);
-        let mna = two_port_s(&circuit, f, &AcStamps::none()).unwrap();
         let cascade = Abcd::series_impedance(Complex::imag(w * l1))
             .cascade(&Abcd::shunt_admittance(Complex::imag(w * c_sh)))
             .cascade(&Abcd::series_impedance(Complex::imag(-1.0 / (w * c_se))))
             .to_s(50.0)
             .unwrap();
-        for (a, b) in [
-            (mna.s11(), cascade.s11()),
-            (mna.s21(), cascade.s21()),
-            (mna.s12(), cascade.s12()),
-            (mna.s22(), cascade.s22()),
-        ] {
-            assert!((a - b).abs() < 1e-9, "at {f}: {a} vs {b}");
+        let mna = two_port_s(&circuit, f, &AcStamps::none()).unwrap();
+        let swept = batch.two_port(p).unwrap();
+        for s in [mna, swept] {
+            for (a, b) in [
+                (s.s11(), cascade.s11()),
+                (s.s21(), cascade.s21()),
+                (s.s12(), cascade.s12()),
+                (s.s22(), cascade.s22()),
+            ] {
+                assert!((a - b).abs() < 1e-9, "at {f}: {a} vs {b}");
+            }
         }
     }
 }
@@ -54,12 +64,18 @@ fn device_stamp_agrees_with_device_two_port() {
     let d = circuit.node("d");
     circuit.port("g", 50.0).port("d", 50.0);
     let stamps = AcStamps::none().two_port(g, d, &y_of);
-    for f in [1.0e9, 1.575e9, 3.0e9] {
-        let mna = two_port_s(&circuit, f, &stamps).unwrap();
+    let freqs = [1.0e9, 1.575e9, 3.0e9];
+    let plan = StampPlan::compile(&circuit).unwrap();
+    let batch = plan.sweep_batch(&freqs, &stamps, &mut AcWorkspace::new());
+    for (p, &f) in freqs.iter().enumerate() {
         let direct = ss.s_params(f, 50.0);
-        assert!((mna.s21() - direct.s21()).abs() < 1e-6, "S21 at {f}");
-        assert!((mna.s11() - direct.s11()).abs() < 1e-6, "S11 at {f}");
-        assert!((mna.s22() - direct.s22()).abs() < 1e-6, "S22 at {f}");
+        let mna = two_port_s(&circuit, f, &stamps).unwrap();
+        let swept = batch.two_port(p).unwrap();
+        for s in [mna, swept] {
+            assert!((s.s21() - direct.s21()).abs() < 1e-6, "S21 at {f}");
+            assert!((s.s11() - direct.s11()).abs() < 1e-6, "S11 at {f}");
+            assert!((s.s22() - direct.s22()).abs() < 1e-6, "S22 at {f}");
+        }
     }
 }
 
@@ -90,9 +106,30 @@ fn biased_fet_netlist_matches_analytic_bias_and_gain() {
 
     let op = device.operating_point(target_vgs, 3.0);
     assert!((op.ids - ids).abs() < 1e-6);
-    let s = device.noisy_two_port(1.575e9, &op).abcd.to_s(50.0).unwrap();
+    let f = 1.575e9;
+    let s = device.noisy_two_port(f, &op).abcd.to_s(50.0).unwrap();
     assert!(
         s.s21().abs() > 3.0,
         "the solved bias yields a live amplifier"
     );
+
+    // Stamp the linearization at the solved bias into an AC netlist: both
+    // MNA solvers reproduce the device-crate gain.
+    let y_of = |f: f64| {
+        device
+            .noisy_two_port(f, &op)
+            .abcd
+            .to_y()
+            .expect("device Y form")
+    };
+    let mut ac_net = Circuit::new();
+    let (g, d) = (ac_net.node("g"), ac_net.node("d"));
+    ac_net.port("g", 50.0).port("d", 50.0);
+    let stamps = AcStamps::none().two_port(g, d, &y_of);
+    let plan = StampPlan::compile(&ac_net).unwrap();
+    let batch = plan.sweep_batch(&[f], &stamps, &mut AcWorkspace::new());
+    let mna = two_port_s(&ac_net, f, &stamps).unwrap();
+    for got in [mna, batch.two_port(0).unwrap()] {
+        assert!((got.s21() - s.s21()).abs() < 1e-6, "S21 at {f}");
+    }
 }
