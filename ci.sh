@@ -66,6 +66,24 @@ fi
 echo "== cargo build --release"
 cargo build --release || fail=1
 
+echo "== experiment tables reproduce byte for byte (results/table*.txt, results/fig*.txt)"
+# Re-runs every table and figure binary whose output is committed and
+# diffs the fresh outputs against the committed ones. Outputs do not
+# depend on RFKIT_THREADS, so this makes "bit-identical numerics" a
+# mechanical check: a change that moves any printed number fails here
+# until the tables are re-recorded (run_all_experiments.sh) and the
+# drift is stated in EXPERIMENTS.md.
+cargo build --release -q -p lna-bench --bins || fail=1
+tables_tmp="$(mktemp -d)"
+mkdir -p "$tables_tmp/expected" "$tables_tmp/actual"
+for committed in results/table*.txt results/fig*.txt; do
+  bin="$(basename "$committed" .txt)"
+  cp "$committed" "$tables_tmp/expected/"
+  ./target/release/"$bin" > "$tables_tmp/actual/$bin.txt" || fail=1
+done
+diff -r "$tables_tmp/expected" "$tables_tmp/actual" || fail=1
+rm -rf "$tables_tmp"
+
 echo "== perfbench build (the benchmark compiles against the current API)"
 # perfbench/ is a package of its own that imports workspace items
 # (AcWorkspace, TraceMode, yield_analysis, ...). Building it here makes a

@@ -8,7 +8,7 @@
 //! slopes, OIP3 in the +20…+35 dBm range, the two paths agreeing at small
 //! signal.
 
-use lna::{measure_im3, BuildConfig, BuiltAmplifier};
+use lna::{measure_im3, Amplifier, BuildConfig, BuiltAmplifier};
 use lna_bench::{header, print_series, reference_design};
 use rfkit_circuit::{ip3_sweep, power_series, TwoToneSpec};
 use rfkit_device::Phemt;
@@ -41,10 +41,9 @@ fn main() {
     );
 
     // Cross-check with the closed-form power series at the same bias.
-    let vgs = device
-        .bias_for_current(built.actual_vars.vds, built.actual_vars.ids)
+    let op = Amplifier::new(&device, built.actual_vars)
+        .operating_point()
         .expect("bias reachable");
-    let op = device.operating_point(vgs, built.actual_vars.vds);
     let series_sweep = ip3_sweep(&pins, |p| {
         power_series(
             &op,

@@ -21,8 +21,14 @@
 //! (finite Q, ESR(f), self-resonance), so matching-network loss correctly
 //! degrades the noise figure, and the whole chain is evaluated with
 //! noise-correlation matrices.
+//!
+//! The bias is resolved once per candidate: [`Amplifier::new`] runs the
+//! bias bisection and builds the degenerated small-signal device and its
+//! noise temperatures, so each frequency only cascades two-ports. The
+//! thermal analysis builds its amplifier through the same constructor.
 
-use rfkit_device::{OperatingPoint, Phemt};
+use crate::thermal::ThermalCondition;
+use rfkit_device::{NoiseTemperatures, OperatingPoint, Phemt, SmallSignalDevice};
 use rfkit_net::gains::transducer_gain;
 use rfkit_net::stability::{mu_load, mu_source, rollett_k};
 use rfkit_net::{NoisyAbcd, SParams};
@@ -94,15 +100,27 @@ impl DesignVariables {
     }
 }
 
-/// The amplifier: a device plus design variables.
-pub struct Amplifier<'a> {
-    /// The pHEMT the amplifier is built around.
-    pub device: &'a Phemt,
-    /// The selected design.
-    pub vars: DesignVariables,
-    /// Fixed input DC-block capacitance (F).
-    pub c_block: f64,
+/// The amplifier: design variables around a device, with the bias
+/// resolved once at construction.
+pub struct Amplifier {
+    vars: DesignVariables,
+    /// `None` when the bias point is unreachable.
+    bias: Option<ResolvedBias>,
 }
+
+/// The frequency-independent part of one candidate.
+#[derive(Debug, Clone, Copy)]
+struct ResolvedBias {
+    op: OperatingPoint,
+    /// Small-signal device with `ls_deg` added to the source lead.
+    device: SmallSignalDevice,
+    noise: NoiseTemperatures,
+    /// Physical temperature of the passives (K).
+    t_passive: f64,
+}
+
+/// Fixed input DC-block capacitance (F).
+const C_BLOCK: f64 = 100e-12;
 
 /// Metrics of the amplifier at one frequency.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -123,37 +141,62 @@ pub struct PointMetrics {
     pub mu: f64,
 }
 
-impl<'a> Amplifier<'a> {
-    /// Creates the amplifier with the default 100 pF input block.
-    pub fn new(device: &'a Phemt, vars: DesignVariables) -> Self {
-        Amplifier {
-            device,
-            vars,
-            c_block: 100e-12,
-        }
+impl Amplifier {
+    /// Builds the amplifier (100 pF input block) at the reference
+    /// temperature, solving its bias once.
+    pub fn new(device: &Phemt, vars: DesignVariables) -> Self {
+        Self::at_ambient(device, vars, None)
+    }
+
+    /// Builds the amplifier at `ambient` (the reference temperature for
+    /// `None`): gm derated, device noise and passive temperatures
+    /// referenced to ambient.
+    pub(crate) fn at_ambient(
+        device: &Phemt,
+        vars: DesignVariables,
+        ambient: Option<&ThermalCondition>,
+    ) -> Self {
+        let bias = device.bias_for_current(vars.vds, vars.ids).map(|vgs| {
+            let op = device.operating_point(vgs, vars.vds);
+            let mut ss = device.small_signal(&op);
+            ss.extrinsic.ls += vars.ls_deg;
+            let (noise, t_passive) = match ambient {
+                None => (device.noise.temperatures(op.ids), T0_KELVIN),
+                Some(cond) => {
+                    ss.intrinsic.gm = op.gm * cond.gm_derating();
+                    (
+                        cond.noise_temperatures(&device.noise, op.ids),
+                        cond.kelvin(),
+                    )
+                }
+            };
+            ResolvedBias {
+                op,
+                device: ss,
+                noise,
+                t_passive,
+            }
+        });
+        Amplifier { vars, bias }
     }
 
     /// The DC operating point implied by the design variables.
     ///
     /// Returns `None` when `ids` is outside the device's range at `vds`.
     pub fn operating_point(&self) -> Option<OperatingPoint> {
-        let vgs = self.device.bias_for_current(self.vars.vds, self.vars.ids)?;
-        Some(self.device.operating_point(vgs, self.vars.vds))
+        self.bias.map(|b| b.op)
     }
 
     /// The complete noisy two-port at `freq_hz` (input network × device
-    /// with degeneration × output network), at ambient temperature.
+    /// with degeneration × output network).
     ///
     /// Returns `None` when the bias point is unreachable.
     pub fn noisy_two_port(&self, freq_hz: f64) -> Option<NoisyAbcd> {
-        let op = self.operating_point()?;
-        // Device small-signal model with the added source degeneration.
-        let mut ss = self.device.small_signal(&op);
-        ss.extrinsic.ls += self.vars.ls_deg;
-        let core = ss.noisy_two_port(freq_hz, &self.device.noise.temperatures(op.ids));
+        let b = self.bias.as_ref()?;
+        let core = b.device.noisy_two_port(freq_hz, &b.noise);
 
-        let t = T0_KELVIN;
-        let c_blk = Capacitor::chip_0402(self.c_block).two_port(freq_hz, Orientation::Series, t);
+        let t = b.t_passive;
+        let c_blk = Capacitor::chip_0402(C_BLOCK).two_port(freq_hz, Orientation::Series, t);
         let l1 = Inductor::chip_0402(self.vars.l1).two_port(freq_hz, Orientation::Series, t);
         // Bias feed: R_bias in series with the choke, shunting the drain
         // to AC ground (the supply rail is bypassed).

@@ -206,7 +206,7 @@ impl BandMetrics {
     /// point failure voids the sweep. Values are bit-identical to the
     /// pre-robust implementation — the reduction visits the same points in
     /// the same serial order.
-    pub fn evaluate(amp: &Amplifier<'_>, band: &BandSpec) -> Option<BandMetrics> {
+    pub fn evaluate(amp: &Amplifier, band: &BandSpec) -> Option<BandMetrics> {
         match BandMetrics::evaluate_robust(amp, band, &DegradePolicy::strict()) {
             BandOutcome::Complete(m) => Some(m),
             _ => None,
@@ -233,7 +233,7 @@ impl BandMetrics {
     /// both the in-band and stability segments keep at least one live
     /// point — or the sweep is [`BandOutcome::Failed`].
     pub fn evaluate_robust(
-        amp: &Amplifier<'_>,
+        amp: &Amplifier,
         band: &BandSpec,
         policy: &DegradePolicy,
     ) -> BandOutcome {

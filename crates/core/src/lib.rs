@@ -44,8 +44,8 @@ pub use amplifier::{Amplifier, DesignVariables, PointMetrics};
 pub use band::{BandMetrics, BandOutcome, BandSpec};
 pub use cache::{DesignCache, DEFAULT_CACHE_CAPACITY};
 pub use design::{
-    band_objectives, cached_band_objectives, design_lna, robust_band_objectives, snap_to_catalog,
-    spot_objectives, DesignConfig, DesignGoals, LnaDesign,
+    band_objectives, cached_band_objectives, design_lna, snap_to_catalog, spot_objectives,
+    DesignConfig, DesignGoals, LnaDesign,
 };
 pub use measure::{
     gain_gap_db, measure, measure_im3, BuildConfig, BuiltAmplifier, MeasurementSession,

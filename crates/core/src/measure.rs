@@ -87,24 +87,6 @@ impl BuiltAmplifier {
             launch: Microstrip::for_impedance(Substrate::ro4350b(), 50.0, config.launch_length),
         }
     }
-
-    /// The true (noise-free) S-parameters of the built unit including the
-    /// launch lines, or `None` if the perturbed bias is unreachable.
-    pub fn true_s_params(&self, device: &Phemt, freq_hz: f64) -> Option<SParams> {
-        let amp = Amplifier::new(device, self.actual_vars);
-        let core = amp.noisy_two_port(freq_hz)?;
-        let line = self.launch.two_port(freq_hz, 296.5);
-        line.cascade(&core).cascade(&line).abcd.to_s(50.0).ok()
-    }
-
-    /// The true noise factor (50 Ω source, linear) of the built unit.
-    pub fn true_noise_factor(&self, device: &Phemt, freq_hz: f64) -> Option<f64> {
-        let amp = Amplifier::new(device, self.actual_vars);
-        let core = amp.noisy_two_port(freq_hz)?;
-        let line = self.launch.two_port(freq_hz, 296.5);
-        let chain = line.cascade(&core).cascade(&line);
-        Some(chain.noise_params(50.0).ok()?.noise_factor(Complex::ZERO))
-    }
 }
 
 /// A complete "measurement session": S-parameters with VNA noise plus NF
@@ -126,11 +108,15 @@ pub fn measure(
     freqs: &[f64],
     config: &BuildConfig,
 ) -> Option<MeasurementSession> {
+    let amp = Amplifier::new(device, built.actual_vars);
     let mut rng = Rng64::new(config.seed.wrapping_add(0x5ca1e));
     let mut response = FrequencyResponse::new();
     let mut nf_db = Vec::with_capacity(freqs.len());
     for &f in freqs {
-        let s = built.true_s_params(device, f)?;
+        // The true (noise-free) unit including the launch lines.
+        let line = built.launch.two_port(f, 296.5);
+        let chain = line.cascade(&amp.noisy_two_port(f)?).cascade(&line);
+        let s = chain.abcd.to_s(50.0).ok()?;
         let jitter = |rng: &mut Rng64, sigma: f64| {
             Complex::new(sigma * gaussian(rng), sigma * gaussian(rng))
         };
@@ -142,8 +128,8 @@ pub fn measure(
             50.0,
         );
         response.push(f, noisy, None);
-        let nf_true = 10.0 * built.true_noise_factor(device, f)?.log10();
-        nf_db.push(nf_true + config.nf_meter_sigma_db * gaussian(&mut rng));
+        let factor = chain.noise_params(50.0).ok()?.noise_factor(Complex::ZERO);
+        nf_db.push(10.0 * factor.log10() + config.nf_meter_sigma_db * gaussian(&mut rng));
     }
     Some(MeasurementSession { response, nf_db })
 }
@@ -155,9 +141,7 @@ pub fn measure(
 ///
 /// Returns `None` for unreachable bias.
 pub fn measure_im3(device: &Phemt, built: &BuiltAmplifier, pin_dbm: &[f64]) -> Option<Ip3Sweep> {
-    let vars = built.actual_vars;
-    let vgs = device.bias_for_current(vars.vds, vars.ids)?;
-    let op = device.operating_point(vgs, vars.vds);
+    let op = Amplifier::new(device, built.actual_vars).operating_point()?;
     let sweep = ip3_sweep(pin_dbm, |p| {
         time_domain(
             device,

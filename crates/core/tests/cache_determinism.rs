@@ -3,6 +3,9 @@
 //! `RFKIT_THREADS=1` and `RFKIT_THREADS=4` must produce bit-identical
 //! objective vectors, which must in turn equal the uncached objectives.
 //!
+//! A second test pins the amplifier and band evaluators, bit for bit, to
+//! an oracle that rebuilds every point from public device calls.
+//!
 //! The thread-count comparison lives in one `#[test]` because
 //! `RFKIT_THREADS` is process state and the harness runs tests
 //! concurrently.
@@ -10,11 +13,17 @@
 use lna::{
     band_objectives, cached_band_objectives, pareto_front_study, snap_to_catalog,
     study_screen_config, Amplifier, BandMetrics, BandSpec, DesignCache, DesignVariables,
-    ParetoStudyConfig,
+    ParetoStudyConfig, PointMetrics,
 };
 use rfkit_device::Phemt;
+use rfkit_net::gains::transducer_gain;
+use rfkit_net::stability::{mu_load, mu_source, rollett_k};
+use rfkit_net::NoisyAbcd;
 use rfkit_num::rng::Rng64;
+use rfkit_num::units::{db_from_amplitude_ratio, nf_db_from_factor, T0_KELVIN};
+use rfkit_num::Complex;
 use rfkit_par::par_map;
+use rfkit_passive::{Capacitor, Component, Inductor, Orientation};
 
 /// Seeded random candidates snapped to the catalog lattice, then
 /// duplicated once — the duplication guarantees cache hits, the snapping
@@ -135,48 +144,54 @@ fn cached_objectives_identical_at_1_and_4_threads() {
     assert_eq!(hits_1 + misses_1, xs.len() as u64);
     assert_eq!(hits_4 + misses_4, xs.len() as u64);
 
-    // The failure-aware objective builder with nothing armed is the same
-    // function: every sweep completes, values are bit-identical, and
-    // nothing is classified uncacheable.
-    let robust_cache = DesignCache::new(64);
-    let policy = lna::DegradePolicy::strict();
-    let robust_obj = lna::robust_band_objectives(&device, &band, &robust_cache, &policy);
-    let robust_out: Vec<Vec<f64>> = xs.iter().map(|x| robust_obj(x)).collect();
-    assert_eq!(out_1, robust_out, "robust objectives changed values");
-    assert_eq!(robust_cache.uncacheable(), 0);
-
     rfkit_obs::flush();
     let meta = std::fs::metadata(&trace).expect("armed run wrote a trace");
     assert!(meta.len() > 0, "trace file is empty despite armed run");
     let _ = std::fs::remove_file(&trace);
 }
 
-#[test]
-fn band_metrics_match_legacy_grid_construction() {
-    // The cached-grid refactor (borrowed slices, reused combined buffer)
-    // must leave every metric bit-identical to the old build-a-fresh-grid
-    // evaluation, replicated inline here.
-    let device = Phemt::atf54143_like();
-    let band = BandSpec::gnss();
-    let vars = DesignVariables {
-        vds: 3.0,
-        ids: 0.050,
-        l1: 6.8e-9,
-        ls_deg: 0.4e-9,
-        l2: 10e-9,
-        c2: 2.2e-12,
-        r_bias: 30.0,
-    };
-    let amp = Amplifier::new(&device, vars);
-    let m = BandMetrics::evaluate(&amp, &band).expect("reference design feasible");
+/// One point of the amplifier rebuilt from public device calls, solving
+/// the bias again at every frequency: `bias_for_current` →
+/// `operating_point` → `small_signal` + `ls_deg` → five-element cascade.
+fn reference_point(device: &Phemt, vars: &DesignVariables, f: f64) -> Option<PointMetrics> {
+    let vgs = device.bias_for_current(vars.vds, vars.ids)?;
+    let op = device.operating_point(vgs, vars.vds);
+    let mut ss = device.small_signal(&op);
+    ss.extrinsic.ls += vars.ls_deg;
+    let core = ss.noisy_two_port(f, &device.noise.temperatures(op.ids));
+    let t = T0_KELVIN;
+    let c_blk = Capacitor::chip_0402(100e-12).two_port(f, Orientation::Series, t);
+    let l1 = Inductor::chip_0402(vars.l1).two_port(f, Orientation::Series, t);
+    let z_feed = Complex::real(vars.r_bias) + Inductor::chip_0402(vars.l2).impedance(f);
+    let l2 = NoisyAbcd::passive_shunt(z_feed.recip(), t);
+    let c2 = Capacitor::chip_0402(vars.c2).two_port(f, Orientation::Series, t);
+    let chain = c_blk.cascade(&l1).cascade(&core).cascade(&l2).cascade(&c2);
+    let s = chain.abcd.to_s(50.0).ok()?;
+    let np = chain.noise_params(50.0).ok()?;
+    Some(PointMetrics {
+        freq_hz: f,
+        gain_db: 10.0
+            * transducer_gain(&s, Complex::ZERO, Complex::ZERO)
+                .max(1e-30)
+                .log10(),
+        nf_db: nf_db_from_factor(np.noise_factor(Complex::ZERO)),
+        s11_db: db_from_amplitude_ratio(s.s11().abs()),
+        s22_db: db_from_amplitude_ratio(s.s22().abs()),
+        k: rollett_k(&s),
+        mu: mu_load(&s).min(mu_source(&s)),
+    })
+}
 
+/// The band reduction over a freshly built grid (no cached buffers),
+/// from [`reference_point`]; `None` when any point fails.
+fn reference_band(device: &Phemt, vars: &DesignVariables, band: &BandSpec) -> Option<BandMetrics> {
     let in_band = rfkit_num::linspace(band.f_lo(), band.f_hi(), band.n_points());
     let mut freqs = in_band.clone();
     freqs.extend_from_slice(BandSpec::stability_grid());
-    let points: Vec<_> = freqs
+    let points = freqs
         .iter()
-        .map(|&f| amp.metrics(f).expect("feasible"))
-        .collect();
+        .map(|&f| reference_point(device, vars, f))
+        .collect::<Option<Vec<_>>>()?;
     let mut worst_nf = f64::NEG_INFINITY;
     let mut min_gain = f64::INFINITY;
     let mut worst_s11 = f64::NEG_INFINITY;
@@ -193,19 +208,84 @@ fn band_metrics_match_legacy_grid_construction() {
         min_mu = min_mu.min(p.mu);
         min_k = min_k.min(p.k);
     }
+    Some(BandMetrics {
+        worst_nf_db: worst_nf,
+        min_gain_db: min_gain,
+        worst_s11_db: worst_s11,
+        worst_s22_db: worst_s22,
+        min_mu,
+        min_k,
+    })
+}
 
-    // Exact bits, not tolerances: the noise figure and every other band
-    // metric must be unchanged by the fast-path refactor.
-    assert_eq!(m.worst_nf_db, worst_nf);
-    assert_eq!(m.min_gain_db, min_gain);
-    assert_eq!(m.worst_s11_db, worst_s11);
-    assert_eq!(m.worst_s22_db, worst_s22);
-    assert_eq!(m.min_mu, min_mu);
-    assert_eq!(m.min_k, min_k);
+#[test]
+fn band_metrics_match_legacy_grid_construction() {
+    // The amplifier resolves its bias once and the band sweep reads cached
+    // grids; both must leave every point and band metric bit-identical to
+    // the per-frequency rebuild above, on seeded in-box candidates, every
+    // corner of the design box, and an unreachable bias.
+    let device = Phemt::atf54143_like();
+    let band = BandSpec::gnss();
+    let bounds = DesignVariables::bounds();
+    let mut rng = Rng64::new(0x000d_ac1e);
+    let mut candidates: Vec<DesignVariables> = (0..24)
+        .map(|_| DesignVariables::from_vec(&bounds.sample(&mut rng)))
+        .collect();
+    for corner in 0..1u32 << 7 {
+        let x: Vec<f64> = (0..7)
+            .map(|j| {
+                if corner >> j & 1 == 1 {
+                    bounds.hi()[j]
+                } else {
+                    bounds.lo()[j]
+                }
+            })
+            .collect();
+        candidates.push(DesignVariables::from_vec(&x));
+    }
+    let reference_vars = DesignVariables {
+        vds: 3.0,
+        ids: 0.050,
+        l1: 6.8e-9,
+        ls_deg: 0.4e-9,
+        l2: 10e-9,
+        c2: 2.2e-12,
+        r_bias: 30.0,
+    };
+    candidates.push(reference_vars);
+    candidates.push(DesignVariables {
+        ids: 3.0,
+        ..reference_vars
+    });
+
+    let mut feasible = 0;
+    for vars in &candidates {
+        let amp = Amplifier::new(&device, *vars);
+        for &f in band.grid().iter().chain(BandSpec::stability_grid()) {
+            // Exact bits, not tolerances, and `None` exactly where the
+            // reference fails.
+            assert_eq!(
+                amp.metrics(f),
+                reference_point(&device, vars, f),
+                "{vars:?} at {f} Hz"
+            );
+        }
+        let m = BandMetrics::evaluate(&amp, &band);
+        assert_eq!(m, reference_band(&device, vars, &band), "{vars:?}");
+        feasible += usize::from(m.is_some());
+    }
+    assert!(
+        feasible > candidates.len() / 2,
+        "oracle vacuous: {feasible} feasible"
+    );
+    let dead = candidates.last().expect("unreachable-bias candidate");
+    assert!(Amplifier::new(&device, *dead).operating_point().is_none());
 
     // And the memoized value is the same object's worth of bits again.
+    let m = reference_band(&device, &reference_vars, &band);
+    assert!(m.is_some(), "reference design feasible");
     let cache = DesignCache::new(4);
-    assert_eq!(cache.evaluate(&device, vars, &band), Some(m));
-    assert_eq!(cache.evaluate(&device, vars, &band), Some(m));
+    assert_eq!(cache.evaluate(&device, reference_vars, &band), m);
+    assert_eq!(cache.evaluate(&device, reference_vars, &band), m);
     assert_eq!(cache.hits(), 1);
 }
