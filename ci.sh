@@ -201,19 +201,26 @@ cargo run --release -q -p rfkit-obs --bin rfkit-trace -- --json \
   --expect-min surrogate.accept:1 \
   --expect-max band.evaluations:800 \
   results/PROFILE_surrogate.json >/dev/null || fail=1
-# bench_surrogate smoke on a small study, written to a scratch path so
-# the committed full-size artifact survives. Proves the two-arm
-# warm-continuation protocol runs end to end, the screen actually
-# rejects at this size, and well-formed JSON lands on disk; the ≥3x
-# reduction target is only meaningful at full size (`bench_surrogate`
-# with default arguments).
-rm -f results/BENCH_surrogate_smoke.json results/PROFILE_bench_surrogate_smoke.json
+# bench_surrogate smoke on a small study, written to a scratch path and
+# diffed against the committed results/BENCH_surrogate_smoke.json in
+# every field except the wall-clock ones (`elapsed_s`, `fit_s`). The
+# screen's decisions are exact for a fixed seed, so any drift in band
+# sweeps, hypervolumes or screen counters fails here, the same way the
+# tables diff catches numeric drift. The >=3x reduction target is only
+# meaningful at full size (`bench_surrogate` with default arguments).
+rm -f results/PROFILE_bench_surrogate_smoke.json
+smoke_tmp="$(mktemp)"
 cargo run --release -q -p lna-bench --bin bench_surrogate -- \
   --pop 24 --gens 8 --warm-gens 16 \
-  --out results/BENCH_surrogate_smoke.json \
+  --out "$smoke_tmp" \
   --profile-out results/PROFILE_bench_surrogate_smoke.json \
   >/dev/null || fail=1
-grep -q '"reduction"' results/BENCH_surrogate_smoke.json || fail=1
+untimed() { grep -v -e '"elapsed_s"' -e '"fit_s"' "$1"; }
+diff <(untimed results/BENCH_surrogate_smoke.json) <(untimed "$smoke_tmp") || {
+  echo "   bench_surrogate smoke drifted from results/BENCH_surrogate_smoke.json"
+  fail=1
+}
+rm -f "$smoke_tmp"
 
 echo "== serve smoke (traced bench_serve, mixed concurrent load)"
 # In-process load generator against the rfkit-serve batch server with

@@ -27,17 +27,16 @@
 //! pruned junk frees budget near the front). `meets_target` records
 //! that verdict.
 //!
-//! The screened run executes under aggregate-mode profiling
-//! (`results/PROFILE_bench_surrogate.json`): the profile shows the
-//! `surrogate.fit` span cost against the `study.pareto` total, i.e. what
-//! the model fits cost next to the sweeps they avoided. Telemetry is
-//! restored to the environment's configuration afterwards so a traced CI
-//! invocation still flushes its own profile.
+//! Both arms run under aggregate-mode profiling
+//! (`results/PROFILE_bench_surrogate.json`), so their `elapsed_s` wall
+//! times are taken under the same telemetry state. The screened arm's
+//! `fit_s` is the `surrogate.fit` span total read back from that
+//! profile: what the model fits cost next to the sweeps they avoided.
+//! Telemetry is restored to the environment's configuration afterwards
+//! so a traced CI invocation still flushes its own profile.
 //!
 //! Usage: `bench_surrogate [--pop N] [--gens N] [--warm-gens N]
-//! [--seed N] [--out PATH] [--profile-out PATH]` plus screen-override
-//! flags (`--kappa` / `--min-improvement` / `--patience` /
-//! `--keep-frac` / `--explore-min`) for tuning experiments. Defaults:
+//! [--seed N] [--out PATH] [--profile-out PATH]`. Defaults:
 //! 48 / 40 / 80 / 0xf4 / `results/BENCH_surrogate.json`; CI runs a tiny
 //! configuration and writes to a scratch path so the committed
 //! full-size artifact survives.
@@ -47,6 +46,7 @@ use lna::{
     STUDY_REFERENCE,
 };
 use rfkit_device::Phemt;
+use rfkit_obs::profile;
 use std::time::Instant;
 
 struct Args {
@@ -55,11 +55,6 @@ struct Args {
     seed: u64,
     out: String,
     profile_out: String,
-    kappa: Option<f64>,
-    min_improvement: Option<f64>,
-    patience: Option<u64>,
-    keep_frac: Option<f64>,
-    explore_min: Option<f64>,
     warm_gens: Option<usize>,
 }
 
@@ -70,11 +65,6 @@ fn parse_args() -> Args {
         seed: 0xf4,
         out: String::from("results/BENCH_surrogate.json"),
         profile_out: String::from("results/PROFILE_bench_surrogate.json"),
-        kappa: None,
-        min_improvement: None,
-        patience: None,
-        keep_frac: None,
-        explore_min: None,
         warm_gens: None,
     };
     let mut args = std::env::args().skip(1);
@@ -84,11 +74,6 @@ fn parse_args() -> Args {
             "--pop" => value.parse().map(|v: usize| a.pop = v.max(4)).is_ok(),
             "--gens" => value.parse().map(|v: usize| a.gens = v.max(1)).is_ok(),
             "--seed" => value.parse().map(|v| a.seed = v).is_ok(),
-            "--kappa" => value.parse().map(|v| a.kappa = Some(v)).is_ok(),
-            "--min-improvement" => value.parse().map(|v| a.min_improvement = Some(v)).is_ok(),
-            "--patience" => value.parse().map(|v| a.patience = Some(v)).is_ok(),
-            "--keep-frac" => value.parse().map(|v| a.keep_frac = Some(v)).is_ok(),
-            "--explore-min" => value.parse().map(|v| a.explore_min = Some(v)).is_ok(),
             "--warm-gens" => value
                 .parse()
                 .map(|v: usize| a.warm_gens = Some(v.max(1)))
@@ -104,9 +89,7 @@ fn parse_args() -> Args {
             other => {
                 eprintln!(
                     "bench_surrogate: unknown argument `{other}` (use --pop N / --gens N / \
-                     --seed N / --out PATH / --profile-out PATH, or screen overrides \
-                     --kappa X / --min-improvement X / --patience N / --keep-frac X / \
-                     --explore-min X)"
+                     --warm-gens N / --seed N / --out PATH / --profile-out PATH)"
                 );
                 std::process::exit(2);
             }
@@ -166,7 +149,7 @@ fn run_arm(
     }
 }
 
-fn arm_json(out: &mut String, name: &str, arm: &Arm, last: bool) {
+fn arm_json(out: &mut String, name: &str, arm: &Arm, fit_s: Option<f64>, last: bool) {
     let s = &arm.study;
     out.push_str(&format!("    \"{name}\": {{\n"));
     out.push_str(&format!("      \"front_points\": {},\n", s.front.len()));
@@ -190,6 +173,9 @@ fn arm_json(out: &mut String, name: &str, arm: &Arm, last: bool) {
         out.push_str(&format!("        \"fallbacks\": {},\n", st.fallbacks));
         out.push_str(&format!("        \"forced\": {}\n", st.forced));
         out.push_str("      },\n");
+    }
+    if let Some(fit_s) = fit_s {
+        out.push_str(&format!("      \"fit_s\": {fit_s:.3},\n"));
     }
     out.push_str(&format!("      \"elapsed_s\": {:.3}\n", arm.elapsed_s));
     out.push_str(if last { "    }\n" } else { "    },\n" });
@@ -228,28 +214,34 @@ fn main() {
         initial: Vec::new(),
         surrogate: None,
     };
-    let mut screen_cfg = study_screen_config(0x5ca1e);
-    if let Some(v) = args.kappa {
-        screen_cfg.kappa = v;
-    }
-    if let Some(v) = args.min_improvement {
-        screen_cfg.min_improvement = v;
-    }
-    if let Some(v) = args.patience {
-        screen_cfg.improvement_patience = v;
-    }
-    if let Some(v) = args.keep_frac {
-        screen_cfg.min_keep_frac = v;
-    }
-    if let Some(v) = args.explore_min {
-        screen_cfg.explore_min = v;
-    }
     let screened_cfg = ParetoStudyConfig {
-        surrogate: Some(screen_cfg),
+        surrogate: Some(study_screen_config(0x5ca1e)),
         ..plain_cfg.clone()
     };
 
+    // Both arms under aggregate-mode profiling, so their wall times are
+    // comparable; the profile attributes the fit cost.
+    rfkit_obs::init(&rfkit_obs::TraceConfig {
+        trace: true,
+        log: false,
+        out: Some(args.profile_out.clone().into()),
+        mode: rfkit_obs::TraceMode::Agg,
+    });
     let baseline = run_arm(&device, &band, &warm_cfg, &plain_cfg);
+    let screened = run_arm(&device, &band, &warm_cfg, &screened_cfg);
+    rfkit_obs::flush();
+    rfkit_obs::init(&rfkit_obs::TraceConfig::from_env());
+    // Only the screened arm fits models, so every `surrogate.fit` span in
+    // the profile belongs to it.
+    let profile_text = std::fs::read_to_string(&args.profile_out).expect("read profile");
+    let fit_s = profile::parse(&profile_text)
+        .expect("parse profile")
+        .nodes
+        .iter()
+        .filter(|n| n.name == "surrogate.fit")
+        .map(|n| n.total_us as f64 * 1e-6)
+        .sum::<f64>();
+
     println!(
         "warm-up : {:>5} band sweeps (identical for both arms, excluded from the comparison)",
         baseline.warmup.band_evaluations
@@ -262,25 +254,14 @@ fn main() {
         baseline.study.front.len(),
         baseline.elapsed_s
     );
-
-    // Screened arm under aggregate-mode profiling: fit cost vs study
-    // total lands in the committed profile artifact.
-    rfkit_obs::init(&rfkit_obs::TraceConfig {
-        trace: true,
-        log: false,
-        out: Some(args.profile_out.clone().into()),
-        mode: rfkit_obs::TraceMode::Agg,
-    });
-    let screened = run_arm(&device, &band, &warm_cfg, &screened_cfg);
-    rfkit_obs::flush();
-    rfkit_obs::init(&rfkit_obs::TraceConfig::from_env());
     println!(
-        "screened: {:>5} band sweeps ({:>4} feasible), hypervolume {:>9.4}, {:>3} front points ({:.2} s)",
+        "screened: {:>5} band sweeps ({:>4} feasible), hypervolume {:>9.4}, {:>3} front points ({:.2} s, {:.2} s fitting)",
         screened.study.band_evaluations,
         screened.feasible_evals,
         screened.study.hypervolume,
         screened.study.front.len(),
-        screened.elapsed_s
+        screened.elapsed_s,
+        fit_s
     );
 
     let stats = screened.study.screen_stats.expect("screen was armed");
@@ -319,6 +300,16 @@ fn main() {
         screened.study.band_evaluations,
         if meets_target { "MET" } else { "NOT met" }
     );
+    println!(
+        "wall time {:.3} s -> {:.3} s ({fit_s:.3} s fitting): the screen {} in wall time",
+        baseline.elapsed_s,
+        screened.elapsed_s,
+        if screened.elapsed_s < baseline.elapsed_s {
+            "wins"
+        } else {
+            "loses"
+        }
+    );
 
     let mut json = String::from("{\n");
     json.push_str(&format!("  \"population\": {},\n", args.pop));
@@ -340,8 +331,8 @@ fn main() {
     ));
     json.push_str("  },\n");
     json.push_str("  \"arms\": {\n");
-    arm_json(&mut json, "baseline", &baseline, false);
-    arm_json(&mut json, "screened", &screened, true);
+    arm_json(&mut json, "baseline", &baseline, None, false);
+    arm_json(&mut json, "screened", &screened, Some(fit_s), true);
     json.push_str("  },\n");
     json.push_str(&format!("  \"reduction\": {reduction:.4},\n"));
     json.push_str(&format!("  \"hv_ratio\": {hv_ratio:.4},\n"));

@@ -60,11 +60,11 @@ pub fn nf_gain_objectives<'a>(
 /// Penalty rows are deliberately *included*: on this landscape the
 /// dominant structure is the thin unconditionally-stable region inside a
 /// sea of `μ ≤ 1` designs, and a screen that never saw the sea cannot
-/// veto candidates in it. The RBF model of [`study_screen_config`]
-/// localizes the cliff (predictions relax to the penalty plateau away
-/// from feasible training points) instead of smearing it the way a
-/// global polynomial would. Training values still never propagate — they
-/// only shape keep/skip verdicts.
+/// veto candidates in it. The screen's RBF model localizes the cliff
+/// (predictions relax to the penalty plateau away from feasible training
+/// points) instead of smearing it the way a global polynomial would.
+/// Training values still never propagate — they only shape keep/skip
+/// verdicts.
 pub fn surrogate_training_set(cache: &DesignCache) -> Vec<(Vec<f64>, Vec<f64>)> {
     cache
         .snapshot()
@@ -83,34 +83,16 @@ pub fn surrogate_training_set(cache: &DesignCache) -> Vec<(Vec<f64>, Vec<f64>)> 
         .collect()
 }
 
-/// Surrogate screen configuration tuned for the band study: an RBF
-/// model (arms after `3·dim` points instead of the quadratic's 72 and
-/// can localize the feasibility cliff), an `outlier_cap` that admits
-/// the [`INFEASIBLE`] penalty encoding as training data while still
-/// excluding genuinely broken values, and a mild exploration floor that
-/// keeps spending occasional true evaluations on model-rejected
-/// candidates near the feasible boundary.
-///
-/// `κ = 0` switches the acquisition from a lower confidence bound to
-/// the plain model prediction: on this cliff-dominated landscape the
-/// support-aware confidence band is systematically over-conservative
-/// near the feasibility boundary (exactly where the interesting
-/// candidates live), and seed scans showed the always-on
-/// ε-improvement threshold (`min_improvement` at
-/// `improvement_patience = 0`) holding front quality better while
-/// pruning 4–5× — the batch keep floor and the exploration trickle
-/// carry the safety-valve role instead.
+/// Surrogate screen configuration for the band study: an
+/// `outlier_cap` that admits the [`INFEASIBLE`] penalty encoding as
+/// training data while still excluding genuinely broken values, and the
+/// given exploration seed. The screening rule itself (RBF model,
+/// improvement margin, keep floor, exploration schedule) is fixed inside
+/// `rfkit-surrogate`.
 pub fn study_screen_config(seed: u64) -> SurrogateConfig {
     SurrogateConfig {
-        model: rfkit_surrogate::ModelKind::Rbf,
         outlier_cap: 10.0 * INFEASIBLE,
-        kappa: 0.0,
-        min_improvement: 0.3,
-        improvement_patience: 0,
-        explore_min: 0.05,
-        min_keep_frac: 0.125,
         seed,
-        ..Default::default()
     }
 }
 

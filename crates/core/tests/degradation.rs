@@ -95,6 +95,66 @@ fn k_injected_points_degrade_with_exactly_k_diagnostics_at_any_thread_count() {
 }
 
 #[test]
+fn wide_band_degraded_sweep_is_bit_identical_at_1_and_4_threads() {
+    let _serial = serial();
+    // The GNSS band's combined grid (15 points) sits under the pool's
+    // serial threshold of 16, so the test above never leaves the caller
+    // thread. 41 in-band points plus the 8 stability points do fan out.
+    let device = Phemt::atf54143_like();
+    let band = BandSpec::new(1.1e9, 1.7e9, 41);
+    assert!(band.combined_grid().len() > 16, "sweep must fan out");
+    let amp = Amplifier::new(&device, nominal());
+    let policy = DegradePolicy::lenient(0.5);
+    // Points in different worker chunks: both band edges, one mid-band,
+    // and two stability points.
+    let bad = [0usize, 17, 40, 43, 48];
+    let run = || {
+        let _g = faults::scoped(band_fault(&bad));
+        BandMetrics::evaluate_robust(&amp, &band, &policy)
+    };
+    let bits = |m: &BandMetrics| {
+        [
+            m.worst_nf_db,
+            m.min_gain_db,
+            m.worst_s11_db,
+            m.worst_s22_db,
+            m.min_mu,
+            m.min_k,
+        ]
+        .map(f64::to_bits)
+    };
+
+    std::env::set_var("RFKIT_THREADS", "1");
+    let out_1 = run();
+    std::env::set_var("RFKIT_THREADS", "4");
+    let out_4 = run();
+    std::env::remove_var("RFKIT_THREADS");
+
+    let (
+        BandOutcome::Degraded {
+            metrics: m_1,
+            diagnostics: d_1,
+        },
+        BandOutcome::Degraded {
+            metrics: m_4,
+            diagnostics: d_4,
+        },
+    ) = (&out_1, &out_4)
+    else {
+        panic!("expected Degraded at both thread counts, got {out_1:?} and {out_4:?}");
+    };
+    assert_eq!(d_1, d_4, "diagnostics differ across thread counts");
+    let indices: Vec<usize> = d_1.iter().map(|d| d.index).collect();
+    assert_eq!(indices, bad, "exactly the injected points, in grid order");
+    assert_eq!(
+        bits(m_1),
+        bits(m_4),
+        "metric bits differ across thread counts"
+    );
+    assert_eq!(out_1, out_4);
+}
+
+#[test]
 fn shared_frequency_faults_only_the_injected_grid_point() {
     let _serial = serial();
     // 1.4 GHz sits at in-band index 3 of the GNSS grid and again in the

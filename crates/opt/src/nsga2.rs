@@ -116,10 +116,10 @@ pub fn nsga2(
 /// [`nsga2`] with a surrogate screen deciding, per offspring, whether
 /// the true objectives are worth evaluating.
 ///
-/// An offspring is pruned when its lower-confidence-bound vector —
-/// optimistic in every objective at once — is still Pareto-dominated by
-/// a parent: the true evaluation could then only produce a point that
-/// environmental selection would discard. Screening runs serially
+/// An offspring is pruned when its predicted objective vector, even
+/// credited with the screen's improvement margin, is still
+/// Pareto-dominated by a parent: the true evaluation would then most
+/// likely produce a point that environmental selection discards. Screening runs serially
 /// between variation and the parallel batch; pruned offspring never
 /// exist as individuals, so every objective vector in the population
 /// (and the returned front) comes from a true evaluation.
@@ -546,17 +546,25 @@ mod tests {
             ..Default::default()
         };
         let plain = nsga2(obj, &bounds, &cfg);
+        // A negative outlier cap admits no training row, so the screen
+        // never fits and passes every offspring as a fallback.
         let mut scr = rfkit_surrogate::SurrogateScreen::new(
             3,
             2,
             rfkit_surrogate::SurrogateConfig {
-                min_train: usize::MAX,
+                outlier_cap: -1.0,
                 ..Default::default()
             },
         );
         let screened = nsga2_screened(obj, &bounds, &cfg, &mut scr);
         assert_eq!(plain.front, screened.front);
         assert_eq!(plain.evaluations, screened.evaluations);
+        assert!(!scr.has_model());
+        assert_eq!(
+            scr.stats().fallbacks,
+            15 * 60,
+            "60 offspring per generation"
+        );
     }
 
     #[test]
@@ -572,11 +580,7 @@ mod tests {
         let mut scr = rfkit_surrogate::SurrogateScreen::new(
             3,
             2,
-            rfkit_surrogate::SurrogateConfig {
-                explore: 0.05,
-                explore_min: 0.01,
-                ..Default::default()
-            },
+            rfkit_surrogate::SurrogateConfig::default(),
         );
         let screened = nsga2_screened(obj, &bounds, &cfg, &mut scr);
         assert!(scr.stats().rejected > 0, "screen never pruned anything");

@@ -86,10 +86,6 @@ pub struct ParConfig {
     pub threads: usize,
     /// Batches of at most this many items run serially on the caller.
     pub serial_threshold: usize,
-    /// Items claimed per atomic fetch. `0` means auto:
-    /// `max(1, n / (threads * 4))`, which balances steal granularity
-    /// against contention on the shared index.
-    pub chunk: usize,
 }
 
 impl Default for ParConfig {
@@ -97,7 +93,6 @@ impl Default for ParConfig {
         ParConfig {
             threads: 0,
             serial_threshold: 16,
-            chunk: 0,
         }
     }
 }
@@ -117,7 +112,6 @@ impl ParConfig {
         ParConfig {
             threads: threads.max(1),
             serial_threshold: 0,
-            chunk: 0,
         }
     }
 }
@@ -212,11 +206,9 @@ where
         return (0..n).map(f).collect();
     }
 
-    let chunk = if cfg.chunk == 0 {
-        (n / (threads * 4)).max(1)
-    } else {
-        cfg.chunk
-    };
+    // Items claimed per atomic fetch: balances steal granularity against
+    // contention on the shared index.
+    let chunk = (n / (threads * 4)).max(1);
 
     // No point dispatching more helpers than there are chunks beyond the
     // caller's own share.
@@ -555,7 +547,6 @@ mod tests {
         let cfg = ParConfig {
             threads: 4,
             serial_threshold: 100,
-            chunk: 0,
         };
         let out = par_collect(50, &cfg, |i| {
             assert_eq!(thread::current().id(), caller);
@@ -608,19 +599,6 @@ mod tests {
             let items: Vec<usize> = (0..97).collect();
             let out = par_map_cfg(&cfg4(), &items, |&x| x + round);
             assert_eq!(out[96], 96 + round);
-        }
-    }
-
-    #[test]
-    fn explicit_chunk_sizes_are_honored() {
-        for chunk in [1usize, 2, 7, 64, 10_000] {
-            let cfg = ParConfig {
-                threads: 4,
-                serial_threshold: 0,
-                chunk,
-            };
-            let out = par_collect(333, &cfg, |i| i * 2);
-            assert_eq!(out, (0..333).map(|i| i * 2).collect::<Vec<_>>());
         }
     }
 

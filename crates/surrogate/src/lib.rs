@@ -5,13 +5,13 @@
 //! predicted number into a result.
 //!
 //! The LNA design flow's cost is dominated by full band sweeps: tens of
-//! frequency points times process corners per candidate, for thousands
-//! of candidates, most of which an accurate cheap model could have
-//! rejected outright. This crate fits regularized quadratic or RBF
-//! response surfaces ([`ResponseSurface`]) to the points the design
-//! cache has already true-evaluated, and wraps them in a
-//! lower-confidence-bound screening rule ([`SurrogateScreen`]) that
-//! DE/PSO/NSGA-II generation loops consult before paying for a sweep.
+//! frequency points per candidate, for thousands of candidates, many of
+//! which a cheap model could have rejected outright. This crate fits a
+//! Gaussian RBF response surface ([`ResponseSurface`]) to the points the
+//! design cache has already true-evaluated, and wraps it in a
+//! prediction-dominance screening rule ([`SurrogateScreen`]) that the
+//! NSGA-II generation loop of the Pareto study consults before paying
+//! for a sweep.
 //!
 //! Two invariants shape the whole crate:
 //!
@@ -26,10 +26,9 @@
 //! ## Example
 //!
 //! ```
-//! use rfkit_surrogate::{ModelKind, SurrogateConfig, SurrogateScreen};
+//! use rfkit_surrogate::{SurrogateConfig, SurrogateScreen};
 //!
-//! let cfg = SurrogateConfig { explore: 0.0, explore_min: 0.0, ..Default::default() };
-//! let mut screen = SurrogateScreen::new(2, 1, cfg);
+//! let mut screen = SurrogateScreen::new(2, 1, SurrogateConfig::default());
 //! // Feed true evaluations of f(x) = x0² + x1² as they happen...
 //! let mut rng = rfkit_num::rng::Rng64::new(1);
 //! for _ in 0..80 {
@@ -37,7 +36,7 @@
 //!     screen.observe(&x, &[x[0] * x[0] + x[1] * x[1]]);
 //! }
 //! // ...then let it veto candidates that cannot beat the incumbent.
-//! let keep = screen.screen_scalar(&[vec![0.9, 0.9], vec![0.05, 0.0]], &[0.01, 0.01]);
+//! let keep = screen.screen_multi(&[vec![0.9, 0.9], vec![0.05, 0.0]], &[vec![0.5]]);
 //! assert!(keep[1]); // the near-optimal candidate always survives
 //! ```
 
@@ -47,5 +46,5 @@
 mod model;
 mod screen;
 
-pub use model::{n_quad_terms, ModelKind, ResponseSurface};
+pub use model::ResponseSurface;
 pub use screen::{ScreenStats, SurrogateConfig, SurrogateScreen};
