@@ -84,6 +84,19 @@ done
 diff -r "$tables_tmp/expected" "$tables_tmp/actual" || fail=1
 rm -rf "$tables_tmp"
 
+echo "== design example stdout is thread-count independent (RFKIT_THREADS unset, 1, 4)"
+# The unset run takes the hardware thread count, probed once per process;
+# an override set at runtime must still win. All three stdouts must match
+# byte for byte.
+cargo build --release -q --example design_gnss_lna || fail=1
+threads_tmp="$(mktemp -d)"
+env -u RFKIT_THREADS ./target/release/examples/design_gnss_lna > "$threads_tmp/unset.txt" || fail=1
+for t in 1 4; do
+  RFKIT_THREADS="$t" ./target/release/examples/design_gnss_lna > "$threads_tmp/$t.txt" || fail=1
+  diff "$threads_tmp/unset.txt" "$threads_tmp/$t.txt" || fail=1
+done
+rm -rf "$threads_tmp"
+
 echo "== perfbench build (the benchmark compiles against the current API)"
 # perfbench/ is a package of its own that imports workspace items
 # (AcWorkspace, TraceMode, yield_analysis, ...). Building it here makes a

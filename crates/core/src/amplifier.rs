@@ -31,10 +31,10 @@ use crate::thermal::ThermalCondition;
 use rfkit_device::{NoiseTemperatures, OperatingPoint, Phemt, SmallSignalDevice};
 use rfkit_net::gains::transducer_gain;
 use rfkit_net::stability::{mu_load, mu_source, rollett_k};
-use rfkit_net::{NoisyAbcd, SParams};
+use rfkit_net::{Abcd, Chain, NoisyAbcd, SParams};
 use rfkit_num::units::{db_from_amplitude_ratio, nf_db_from_factor, T0_KELVIN};
 use rfkit_num::Complex;
-use rfkit_passive::{Capacitor, Component, Inductor, Orientation};
+use rfkit_passive::{Capacitor, Component, Inductor};
 
 /// The six continuous design variables of the amplifier.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -119,6 +119,11 @@ struct ResolvedBias {
     t_passive: f64,
 }
 
+/// Rollett K and the smaller of the load- and source-plane μ.
+fn stability_factors(s: &SParams) -> (f64, f64) {
+    (rollett_k(s), mu_load(s).min(mu_source(s)))
+}
+
 /// Fixed input DC-block capacitance (F).
 const C_BLOCK: f64 = 100e-12;
 
@@ -192,25 +197,31 @@ impl Amplifier {
     ///
     /// Returns `None` when the bias point is unreachable.
     pub fn noisy_two_port(&self, freq_hz: f64) -> Option<NoisyAbcd> {
+        self.two_port(freq_hz)
+    }
+
+    /// The amplifier's stages in either [`Chain`] form: the noisy chain, or
+    /// the chain matrix alone with the same bits as its `abcd`.
+    fn two_port<T: Chain>(&self, freq_hz: f64) -> Option<T> {
         let b = self.bias.as_ref()?;
-        let core = b.device.noisy_two_port(freq_hz, &b.noise);
+        let core = b.device.two_port::<T>(freq_hz, &b.noise);
 
         let t = b.t_passive;
-        let c_blk = Capacitor::chip_0402(C_BLOCK).two_port(freq_hz, Orientation::Series, t);
-        let l1 = Inductor::chip_0402(self.vars.l1).two_port(freq_hz, Orientation::Series, t);
+        let c_blk = T::series(Capacitor::chip_0402(C_BLOCK).impedance(freq_hz), t);
+        let l1 = T::series(Inductor::chip_0402(self.vars.l1).impedance(freq_hz), t);
         // Bias feed: R_bias in series with the choke, shunting the drain
         // to AC ground (the supply rail is bypassed).
         let z_feed =
             Complex::real(self.vars.r_bias) + Inductor::chip_0402(self.vars.l2).impedance(freq_hz);
-        let l2 = NoisyAbcd::passive_shunt(z_feed.recip(), t);
-        let c2 = Capacitor::chip_0402(self.vars.c2).two_port(freq_hz, Orientation::Series, t);
+        let l2 = T::shunt(z_feed.recip(), t);
+        let c2 = T::series(Capacitor::chip_0402(self.vars.c2).impedance(freq_hz), t);
 
         Some(c_blk.cascade(&l1).cascade(&core).cascade(&l2).cascade(&c2))
     }
 
     /// S-parameters of the full amplifier at `freq_hz`, 50 Ω reference.
     pub fn s_params(&self, freq_hz: f64) -> Option<SParams> {
-        self.noisy_two_port(freq_hz)?.abcd.to_s(50.0).ok()
+        self.two_port::<Abcd>(freq_hz)?.to_s(50.0).ok()
     }
 
     /// Swept response over a frequency grid, with noise parameters at
@@ -235,6 +246,7 @@ impl Amplifier {
         let noisy = self.noisy_two_port(freq_hz)?;
         let s = noisy.abcd.to_s(50.0).ok()?;
         let np = noisy.noise_params(50.0).ok()?;
+        let (k, mu) = stability_factors(&s);
         Some(PointMetrics {
             freq_hz,
             gain_db: 10.0
@@ -244,9 +256,18 @@ impl Amplifier {
             nf_db: nf_db_from_factor(np.noise_factor(Complex::ZERO)),
             s11_db: db_from_amplitude_ratio(s.s11().abs()),
             s22_db: db_from_amplitude_ratio(s.s22().abs()),
-            k: rollett_k(&s),
-            mu: mu_load(&s).min(mu_source(&s)),
+            k,
+            mu,
         })
+    }
+
+    /// Rollett K and μ at `freq_hz`, the only metrics the stability grid
+    /// reads, from the noiseless chain alone: no correlation matrices,
+    /// noise parameters, gain or reflections. The same bits as the `k`
+    /// and `mu` of [`Amplifier::metrics`], and `None` exactly where it is
+    /// `None` (its noise extraction at 50 Ω cannot fail).
+    pub fn stability(&self, freq_hz: f64) -> Option<(f64, f64)> {
+        self.s_params(freq_hz).map(|s| stability_factors(&s))
     }
 }
 

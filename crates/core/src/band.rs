@@ -122,6 +122,14 @@ impl BandSpec {
     }
 }
 
+/// One evaluated point of the combined grid.
+enum GridPoint {
+    /// An in-band point, with every metric.
+    InBand(PointMetrics),
+    /// A stability-grid point, with only its K and μ.
+    Stability { k: f64, mu: f64 },
+}
+
 /// Worst-case metrics of an amplifier over a band (plus out-of-band
 /// stability).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -247,11 +255,18 @@ impl BandMetrics {
         // grid identity, so an armed plan fires at the same points however
         // rfkit-par chunks the sweep, and a frequency shared by the in-band
         // and stability grids (1.4 GHz in the GNSS band) stays two points.
-        let points: Vec<Option<PointMetrics>> = par_map_indexed(freqs, |i, &f| {
+        // In-band points compute every metric; stability points only the
+        // chain matrix's K and μ, the two values their reduction reads.
+        let points: Vec<Option<GridPoint>> = par_map_indexed(freqs, |i, &f| {
             if faults::inject("band.point", i as u64).is_some() {
                 return None;
             }
-            amp.metrics(f)
+            if i < n_in_band {
+                amp.metrics(f).map(GridPoint::InBand)
+            } else {
+                amp.stability(f)
+                    .map(|(k, mu)| GridPoint::Stability { k, mu })
+            }
         });
 
         let mut diagnostics = Vec::new();
@@ -259,37 +274,34 @@ impl BandMetrics {
         let mut min_gain = f64::INFINITY;
         let mut worst_s11 = f64::NEG_INFINITY;
         let mut worst_s22 = f64::NEG_INFINITY;
-        let mut in_band_live = 0usize;
-        for (i, m) in points[..n_in_band].iter().enumerate() {
-            let Some(m) = m.as_ref() else {
-                diagnostics.push(PointDiagnostic {
-                    index: i,
-                    at: freqs[i],
-                    detail: "in-band point failed to evaluate".to_string(),
-                });
-                continue;
-            };
-            in_band_live += 1;
-            worst_nf = worst_nf.max(m.nf_db);
-            min_gain = min_gain.min(m.gain_db);
-            worst_s11 = worst_s11.max(m.s11_db);
-            worst_s22 = worst_s22.max(m.s22_db);
-        }
         let mut min_mu = f64::INFINITY;
         let mut min_k = f64::INFINITY;
-        let mut stability_live = 0usize;
-        for (i, m) in points[n_in_band..].iter().enumerate() {
-            let Some(m) = m.as_ref() else {
-                diagnostics.push(PointDiagnostic {
-                    index: n_in_band + i,
-                    at: freqs[n_in_band + i],
-                    detail: "stability-grid point failed to evaluate".to_string(),
-                });
-                continue;
-            };
-            stability_live += 1;
-            min_mu = min_mu.min(m.mu);
-            min_k = min_k.min(m.k);
+        let (mut in_band_live, mut stability_live) = (0usize, 0usize);
+        for (i, point) in points.iter().enumerate() {
+            match point {
+                Some(GridPoint::InBand(m)) => {
+                    in_band_live += 1;
+                    worst_nf = worst_nf.max(m.nf_db);
+                    min_gain = min_gain.min(m.gain_db);
+                    worst_s11 = worst_s11.max(m.s11_db);
+                    worst_s22 = worst_s22.max(m.s22_db);
+                }
+                Some(GridPoint::Stability { k, mu }) => {
+                    stability_live += 1;
+                    min_mu = min_mu.min(*mu);
+                    min_k = min_k.min(*k);
+                }
+                None => diagnostics.push(PointDiagnostic {
+                    index: i,
+                    at: freqs[i],
+                    detail: if i < n_in_band {
+                        "in-band point failed to evaluate"
+                    } else {
+                        "stability-grid point failed to evaluate"
+                    }
+                    .to_string(),
+                }),
+            }
         }
 
         if !diagnostics.is_empty() {

@@ -258,6 +258,9 @@ fn band_metrics_match_legacy_grid_construction() {
         ..reference_vars
     });
 
+    // Serve's narrow band: 19 + 8 points, enough to fan out through
+    // rfkit-par.
+    let narrow = BandSpec::new(1.559e9, 1.61e9, 19);
     let mut feasible = 0;
     for vars in &candidates {
         let amp = Amplifier::new(&device, *vars);
@@ -270,8 +273,22 @@ fn band_metrics_match_legacy_grid_construction() {
                 "{vars:?} at {f} Hz"
             );
         }
+        // Stability points read K and μ from the chain matrix alone.
+        for &f in BandSpec::stability_grid() {
+            let bits = |(k, mu): (f64, f64)| (k.to_bits(), mu.to_bits());
+            assert_eq!(
+                amp.stability(f).map(bits),
+                amp.metrics(f).map(|m| bits((m.k, m.mu))),
+                "{vars:?} at {f} Hz"
+            );
+        }
         let m = BandMetrics::evaluate(&amp, &band);
         assert_eq!(m, reference_band(&device, vars, &band), "{vars:?}");
+        assert_eq!(
+            BandMetrics::evaluate(&amp, &narrow),
+            reference_band(&device, vars, &narrow),
+            "{vars:?} on the narrow band"
+        );
         feasible += usize::from(m.is_some());
     }
     assert!(

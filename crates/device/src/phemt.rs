@@ -86,6 +86,9 @@ pub struct OperatingPoint {
     pub gm3: f64,
 }
 
+/// The gate-voltage interval (V) [`Phemt::bias_for_current`] searches.
+const BIAS_WINDOW: (f64, f64) = (-2.0, 1.0);
+
 /// A complete packaged pHEMT.
 pub struct Phemt {
     /// The DC drain-current equation.
@@ -158,21 +161,30 @@ impl Phemt {
     /// Evaluates the operating point at `(vgs, vds)`.
     pub fn operating_point(&self, vgs: f64, vds: f64) -> OperatingPoint {
         let m = self.dc_model.as_ref();
+        let (ids, gm, gm2, gm3) = dc::gate_terms(m, &self.dc_params, vgs, vds);
         OperatingPoint {
             vgs,
             vds,
-            ids: m.ids(&self.dc_params, vgs, vds),
-            gm: dc::gm(m, &self.dc_params, vgs, vds),
+            ids,
+            gm,
             gds: dc::gds(m, &self.dc_params, vgs, vds),
-            gm2: dc::gm2(m, &self.dc_params, vgs, vds),
-            gm3: dc::gm3(m, &self.dc_params, vgs, vds),
+            gm2,
+            gm3,
         }
     }
 
     /// Finds the gate voltage that sets drain current `ids` at `vds`.
     /// Returns `None` when the current is outside the device's range.
     pub fn bias_for_current(&self, vds: f64, ids: f64) -> Option<f64> {
-        dc::vgs_for_current(self.dc_model.as_ref(), &self.dc_params, vds, ids, -2.0, 1.0)
+        let (v_lo, v_hi) = BIAS_WINDOW;
+        dc::vgs_for_current(
+            self.dc_model.as_ref(),
+            &self.dc_params,
+            vds,
+            ids,
+            v_lo,
+            v_hi,
+        )
     }
 
     /// The small-signal equivalent circuit at the operating point.
@@ -211,6 +223,30 @@ mod tests {
         let vgs = d.bias_for_current(3.0, 0.060).expect("60 mA reachable");
         let op = d.operating_point(vgs, 3.0);
         assert!((op.ids - 0.060).abs() < 1e-6, "Ids = {}", op.ids);
+    }
+
+    #[test]
+    fn bias_solve_is_certified_across_the_design_box() {
+        // The design box of `lna::DesignVariables::bounds()`: Vds 1.5–4 V,
+        // Ids 10–80 mA. A silent fall-back to the plain bisection would
+        // keep every result and only run slower, so pin the fast path.
+        let d = Phemt::atf54143_like();
+        let (v_lo, v_hi) = BIAS_WINDOW;
+        for i in 0..=50 {
+            for j in 0..=70 {
+                let vds = 1.5 + 2.5 * f64::from(i) / 50.0;
+                let ids = 0.010 + 0.070 * f64::from(j) / 70.0;
+                let curve = d
+                    .dc_model
+                    .gate_curve(&d.dc_params, vds)
+                    .expect("Angelov has a prepared curve");
+                let f_lo = curve.ids(v_lo) - ids;
+                assert!(
+                    curve.certificate(ids, v_lo, v_hi, f_lo).is_some(),
+                    "no certificate at Vds {vds} V, Ids {ids} A"
+                );
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! Pospieszalski's model, evaluated here through correlation matrices so
 //! the extrinsic shell's thermal noise is handled consistently.
 
-use rfkit_net::{Abcd, NoisyAbcd, SParams, YParams, ZParams, M2};
+use rfkit_net::{Abcd, Chain, NoisyAbcd, SParams, YParams, ZParams, M2};
 use rfkit_num::units::{angular, K_BOLTZMANN};
 use rfkit_num::Complex;
 
@@ -156,18 +156,30 @@ impl SmallSignalDevice {
     /// Panics if the embedding hits a singular conversion, which does not
     /// occur for physical element values.
     pub fn s_params(&self, freq_hz: f64, z0: f64) -> SParams {
-        self.noisy_two_port(freq_hz, &NoiseTemperatures::default())
-            .abcd
+        self.abcd(freq_hz)
             .to_s(z0)
             .expect("physical device has an S form")
     }
 
     /// Noisy two-port (chain matrix + chain correlation matrix) at
     /// `freq_hz` with the given noise temperatures.
+    pub fn noisy_two_port(&self, freq_hz: f64, temps: &NoiseTemperatures) -> NoisyAbcd {
+        self.two_port(freq_hz, temps)
+    }
+
+    /// Noiseless chain matrix at `freq_hz`: the stages of
+    /// [`SmallSignalDevice::noisy_two_port`] without their noise, the same
+    /// bits as its `abcd`.
+    pub fn abcd(&self, freq_hz: f64) -> Abcd {
+        self.two_port(freq_hz, &NoiseTemperatures::default())
+    }
+
+    /// The embedded device in either [`Chain`] form; `temps` reach only the
+    /// noisy one.
     ///
     /// Embedding order (input → output):
     /// `Cpg ∥ — Rg+Lg — [intrinsic ⊕ (Rs+Ls) common lead] — Rd+Ld — ∥ Cpd`.
-    pub fn noisy_two_port(&self, freq_hz: f64, temps: &NoiseTemperatures) -> NoisyAbcd {
+    pub fn two_port<T: Chain>(&self, freq_hz: f64, temps: &NoiseTemperatures) -> T {
         let w = angular(freq_hz);
         let jw = Complex::imag(w);
         let i = &self.intrinsic;
@@ -176,36 +188,31 @@ impl SmallSignalDevice {
         // Intrinsic Y + CY → Z + CZ, then add the common source lead
         // (appears in both loops: Z += Zs·ones, CZ += 4kT·Rs·ones).
         let y = i.y_params(freq_hz);
-        let cy = i.noise_cy(freq_hz, temps.tg, temps.td);
         let z = y.to_z().expect("intrinsic Y invertible");
-        let cz = rfkit_net::correlation::cy_to_cz(&cy, &z);
         let zs = Complex::new(e.rs, w * e.ls);
         let ones = M2::new(Complex::ONE, Complex::ONE, Complex::ONE, Complex::ONE);
         let z_total = ZParams {
             m: z.m.add(&ones.scale(zs)),
         };
-        let sn = 4.0 * K_BOLTZMANN * temps.ambient * e.rs;
-        let cz_total = cz.add(&ones.scale(Complex::real(sn)));
-        let core =
-            NoisyAbcd::from_z_correlation(&z_total, &cz_total).expect("intrinsic Z21 nonzero");
+        let core = T::from_z(&z_total, || {
+            let cy = i.noise_cy(freq_hz, temps.tg, temps.td);
+            let cz = rfkit_net::correlation::cy_to_cz(&cy, &z);
+            let sn = 4.0 * K_BOLTZMANN * temps.ambient * e.rs;
+            cz.add(&ones.scale(Complex::real(sn)))
+        })
+        .expect("intrinsic Z21 nonzero");
 
         // Gate and drain series elements, pad shunts.
-        let gate = NoisyAbcd::passive_series(Complex::new(e.rg, w * e.lg), temps.ambient);
-        let drain = NoisyAbcd::passive_series(Complex::new(e.rd, w * e.ld), temps.ambient);
-        let pad_g = NoisyAbcd::passive_shunt(jw * Complex::real(e.cpg), temps.ambient);
-        let pad_d = NoisyAbcd::passive_shunt(jw * Complex::real(e.cpd), temps.ambient);
+        let gate = T::series(Complex::new(e.rg, w * e.lg), temps.ambient);
+        let drain = T::series(Complex::new(e.rd, w * e.ld), temps.ambient);
+        let pad_g = T::shunt(jw * Complex::real(e.cpg), temps.ambient);
+        let pad_d = T::shunt(jw * Complex::real(e.cpd), temps.ambient);
 
         pad_g
             .cascade(&gate)
             .cascade(&core)
             .cascade(&drain)
             .cascade(&pad_d)
-    }
-
-    /// Noiseless chain matrix at `freq_hz`.
-    pub fn abcd(&self, freq_hz: f64) -> Abcd {
-        self.noisy_two_port(freq_hz, &NoiseTemperatures::default())
-            .abcd
     }
 }
 

@@ -74,6 +74,7 @@ const MAX_THREADS: usize = 64;
 static OBS_TASKS: rfkit_obs::Counter = rfkit_obs::Counter::new("par.tasks");
 static OBS_BATCHES: rfkit_obs::Counter = rfkit_obs::Counter::new("par.batches");
 static OBS_SERIAL_FALLBACK: rfkit_obs::Counter = rfkit_obs::Counter::new("par.serial_fallback");
+static OBS_HW_PROBE: rfkit_obs::Counter = rfkit_obs::Counter::new("par.hw_probe");
 static OBS_ITEMS_PER_PARTICIPANT: rfkit_obs::Hist =
     rfkit_obs::Hist::new("par.items_per_participant");
 static OBS_QUEUE_WAIT_US: rfkit_obs::Hist = rfkit_obs::Hist::new("par.queue_wait_us");
@@ -119,15 +120,25 @@ impl ParConfig {
 /// Effective auto thread count: `RFKIT_THREADS` if set to a positive
 /// integer, else `available_parallelism()`, clamped to [`MAX_THREADS`].
 ///
-/// Read dynamically on every call so tests and callers can vary
-/// `RFKIT_THREADS` at runtime.
+/// `RFKIT_THREADS` is read on every call so tests and callers can vary it
+/// at runtime. The hardware count is probed once per process: the probe
+/// reads cgroup files and costs tens of µs, more than a whole band
+/// evaluation.
 pub fn num_threads() -> usize {
     let n = match std::env::var("RFKIT_THREADS") {
         Ok(s) => s.trim().parse::<usize>().ok().filter(|&v| v >= 1),
         Err(_) => None,
     };
-    n.unwrap_or_else(|| thread::available_parallelism().map_or(1, |p| p.get()))
-        .min(MAX_THREADS)
+    n.unwrap_or_else(hardware_threads).min(MAX_THREADS)
+}
+
+/// `available_parallelism()`, probed on first use and then cached.
+fn hardware_threads() -> usize {
+    static HARDWARE: OnceLock<usize> = OnceLock::new();
+    *HARDWARE.get_or_init(|| {
+        OBS_HW_PROBE.add(1);
+        thread::available_parallelism().map_or(1, |p| p.get())
+    })
 }
 
 /// True while the current thread is executing inside a parallel region;
@@ -177,6 +188,15 @@ where
     par_collect(items.len(), cfg, |i| f(i, &items[i]))
 }
 
+/// The serial fallback of [`par_collect`]: `f(0..n)` on the caller.
+fn run_serial<R, F: Fn(usize) -> R>(n: usize, f: F) -> Vec<R> {
+    if rfkit_obs::enabled() {
+        OBS_SERIAL_FALLBACK.add(1);
+        OBS_TASKS.add(n as u64);
+    }
+    (0..n).map(f).collect()
+}
+
 /// Core primitive: evaluate `f(0), f(1), …, f(n-1)` across the pool and
 /// collect the results in index order.
 ///
@@ -193,17 +213,18 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
+    // The cheap serial tests come first: a small or nested batch never
+    // resolves the thread count.
+    if n <= cfg.serial_threshold || in_parallel_region() {
+        return run_serial(n, f);
+    }
     let threads = if cfg.threads == 0 {
         num_threads()
     } else {
         cfg.threads.min(MAX_THREADS)
     };
-    if n <= cfg.serial_threshold || threads <= 1 || in_parallel_region() {
-        if rfkit_obs::enabled() {
-            OBS_SERIAL_FALLBACK.add(1);
-            OBS_TASKS.add(n as u64);
-        }
-        return (0..n).map(f).collect();
+    if threads <= 1 {
+        return run_serial(n, f);
     }
 
     // Items claimed per atomic fetch: balances steal granularity against
@@ -216,11 +237,7 @@ where
     let wanted_helpers = (threads - 1).min(total_chunks.saturating_sub(1));
     let helpers = Pool::global().ensure_workers(wanted_helpers);
     if helpers == 0 {
-        if rfkit_obs::enabled() {
-            OBS_SERIAL_FALLBACK.add(1);
-            OBS_TASKS.add(n as u64);
-        }
-        return (0..n).map(f).collect();
+        return run_serial(n, f);
     }
 
     // Telemetry is gated once per batch; queue wait is measured from just

@@ -204,6 +204,62 @@ impl NoisyAbcd {
     }
 }
 
+/// A cascadable chain-form stage: the noiseless [`Abcd`] or the noisy
+/// [`NoisyAbcd`].
+///
+/// A network written once, generic over this trait, yields both its full
+/// noisy chain and its chain matrix alone from one list of stages. The
+/// [`Abcd`] form skips every correlation matrix, and its chain matrix is
+/// the same bits as the [`NoisyAbcd`] form's `abcd`.
+pub trait Chain: Sized {
+    /// A passive series impedance `z` with its resistance at `temp` (K).
+    fn series(z: Complex, temp: f64) -> Self;
+
+    /// A passive shunt admittance `y` with its conductance at `temp` (K).
+    fn shunt(y: Complex, temp: f64) -> Self;
+
+    /// The two-port with Z parameters `z` and Z-form correlation matrix
+    /// `cz()`; only the noisy form calls `cz`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetworkError::DegenerateParameter`] when `Z21 == 0`.
+    fn from_z(z: &ZParams, cz: impl FnOnce() -> M2) -> Result<Self, NetworkError>;
+
+    /// Cascade: `self` followed by `next`.
+    fn cascade(&self, next: &Self) -> Self;
+}
+
+impl Chain for Abcd {
+    fn series(z: Complex, _temp: f64) -> Self {
+        Abcd::series_impedance(z)
+    }
+    fn shunt(y: Complex, _temp: f64) -> Self {
+        Abcd::shunt_admittance(y)
+    }
+    fn from_z(z: &ZParams, _cz: impl FnOnce() -> M2) -> Result<Self, NetworkError> {
+        z.to_abcd()
+    }
+    fn cascade(&self, next: &Self) -> Self {
+        Self::cascade(self, next)
+    }
+}
+
+impl Chain for NoisyAbcd {
+    fn series(z: Complex, temp: f64) -> Self {
+        NoisyAbcd::passive_series(z, temp)
+    }
+    fn shunt(y: Complex, temp: f64) -> Self {
+        NoisyAbcd::passive_shunt(y, temp)
+    }
+    fn from_z(z: &ZParams, cz: impl FnOnce() -> M2) -> Result<Self, NetworkError> {
+        NoisyAbcd::from_z_correlation(z, &cz())
+    }
+    fn cascade(&self, next: &Self) -> Self {
+        Self::cascade(self, next)
+    }
+}
+
 /// `scale · Re(M)` as a real diagonal-symmetric M2 (entry-wise real part).
 fn re_part_scaled(m: &M2, scale: f64) -> M2 {
     M2::new(

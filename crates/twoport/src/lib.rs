@@ -47,7 +47,7 @@ pub mod sweep;
 pub mod tabulated;
 pub mod touchstone;
 
-pub use correlation::NoisyAbcd;
+pub use correlation::{Chain, NoisyAbcd};
 pub use m2::M2;
 pub use noise::{CascadeStage, NoiseParams};
 pub use nport::{NPort, NPortError};
